@@ -126,13 +126,16 @@ class SecurityModel
     void assignWholeMachine(const std::vector<Process *> &procs);
 
     /** All tile ids. */
-    std::vector<CoreId> allTiles() const;
+    const std::vector<CoreId> &allTiles() const { return allTiles_; }
 
     /** All controller ids. */
-    std::vector<McId> allMcs() const;
+    const std::vector<McId> &allMcs() const { return allMcs_; }
 
     System &sys_;
     std::string name_;
+    // Built once: MI6 purges over both lists at every enclave entry/exit.
+    const std::vector<CoreId> allTiles_;
+    const std::vector<McId> allMcs_;
     PurgeEngine purge_;
     EnclaveTable enclaves_;
     Cycle reconfigOverhead_ = 0;

@@ -90,6 +90,7 @@ Cache::insert(Addr addr, ProcId owner, Domain domain)
     else
         repl_->touch(set, way);
     statFills_.inc();
+    ++fillsSinceFlush_;
     return ev;
 }
 
@@ -114,17 +115,24 @@ unsigned
 Cache::flushAll(const std::function<void(const CacheLine &)> &on_dirty)
 {
     unsigned flushed = 0;
-    for (auto &line : lines_) {
-        if (!line.valid)
-            continue;
-        ++flushed;
-        if (line.dirty && on_dirty)
-            on_dirty(line);
-        line.valid = false;
+    // Only insert() makes a line valid, and only a hit on a valid line
+    // touches the replacement state. So with no fill since the last
+    // flush (or construction) there is nothing to erase and the policy
+    // still holds its post-reset state: skip the scan and the reset.
+    if (fillsSinceFlush_ != 0) {
+        for (auto &line : lines_) {
+            if (!line.valid)
+                continue;
+            ++flushed;
+            if (line.dirty && on_dirty)
+                on_dirty(line);
+            line.valid = false;
+        }
+        repl_->reset();
+        fillsSinceFlush_ = 0;
     }
-    repl_->reset();
-    stats_.counter("flushes").inc();
-    stats_.counter("flushed_lines").inc(flushed);
+    stats_.lazyCounter(statFlushes_, "flushes").inc();
+    stats_.lazyCounter(statFlushedLines_, "flushed_lines").inc(flushed);
     return flushed;
 }
 

@@ -153,7 +153,9 @@ class Cache
     std::optional<CacheLine> invalidateLine(Addr addr);
 
     /**
-     * Flush-and-invalidate the whole cache.
+     * Flush-and-invalidate the whole cache. Host cost is O(1) when
+     * nothing was filled since the last flush, else one pass over the
+     * lines; results and counters are the same either way.
      * @param on_dirty invoked for every dirty line written back.
      * @return number of lines that were valid.
      */
@@ -220,6 +222,12 @@ class Cache
     Counter &statEvictions_;
     Counter &statDirtyEvictions_;
     Counter &statInvalidations_;
+    // Purge-path counters, bound on first flush (see lazyCounter()).
+    Counter *statFlushes_ = nullptr;
+    Counter *statFlushedLines_ = nullptr;
+    /** insert() calls since the last flushAll(); zero means flushAll()
+     *  has nothing to erase (see there). */
+    std::uint64_t fillsSinceFlush_ = 0;
 };
 
 } // namespace ih

@@ -50,6 +50,8 @@ class Dram
     // Per-access counters bound once (StatGroup references are stable).
     Counter &statRowHits_;
     Counter &statRowMisses_;
+    /** Bound on first closeAllRows() (see lazyCounter()). */
+    Counter *statRowPurges_ = nullptr;
 };
 
 } // namespace ih

@@ -105,6 +105,9 @@ class MemController
     Counter &statWrites_;
     Counter &statQueueWaitCycles_;
     Counter &statTdmSlots_;
+    // Per-drain counters, bound on first drain (see lazyCounter()).
+    Counter *statDrains_ = nullptr;
+    Counter *statDrainedWrites_ = nullptr;
 };
 
 } // namespace ih

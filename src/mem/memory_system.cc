@@ -414,13 +414,13 @@ Cycle
 MemorySystem::purgePrivate(const std::vector<CoreId> &cores, Cycle when)
 {
     Cycle done = when;
+    const std::function<void(const CacheLine &)> writeback =
+        [&](const CacheLine &line) { writebackVictim(line, when); };
     for (CoreId core : cores) {
         IH_ASSERT(core < l1s_.size(), "purge of core %u out of range", core);
         // Flush-and-invalidate by reading a dummy buffer of L1 size; all
         // dirty lines propagate to their home L2 slice first.
-        l1s_[core]->flushAll([&](const CacheLine &line) {
-            writebackVictim(line, when);
-        });
+        l1s_[core]->flushAll(writeback);
         const unsigned tlb_entries = tlbs_[core]->capacity();
         tlbs_[core]->flushAll();
         const Cycle cost =
@@ -428,9 +428,12 @@ MemorySystem::purgePrivate(const std::vector<CoreId> &cores, Cycle when)
                 cfg_.l1PurgePerLine +
             static_cast<Cycle>(tlb_entries) * cfg_.tlbPurgePerEntry;
         done = std::max(done, when + cost); // cores purge in parallel
-        stats_.counter("private_purges").inc();
     }
-    stats_.counter("purge_cycles").inc(done - when);
+    if (!cores.empty()) {
+        stats_.lazyCounter(statPrivatePurges_, "private_purges")
+            .inc(cores.size());
+    }
+    stats_.lazyCounter(statPurgeCycles_, "purge_cycles").inc(done - when);
     return done;
 }
 

@@ -541,6 +541,9 @@ class MemorySystem
     Counter &statL1Writebacks_;
     Counter &statL2Evictions_;
     Counter &statBackInvalidations_;
+    // Per-purge counters, bound on first purge (see lazyCounter()).
+    Counter *statPrivatePurges_ = nullptr;
+    Counter *statPurgeCycles_ = nullptr;
 };
 
 } // namespace ih

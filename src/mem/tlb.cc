@@ -64,6 +64,8 @@ Tlb::insert(VAddr vaddr, Addr ppage, ProcId proc, Domain domain)
                 slot = &set[w];
         }
         statEvictions_.inc();
+    } else {
+        ++validEntries_;
     }
     slot->vpage = vp;
     slot->ppage = ppage;
@@ -81,13 +83,17 @@ Tlb::insert(VAddr vaddr, Addr ppage, ProcId proc, Domain domain)
 unsigned
 Tlb::flushAll()
 {
-    unsigned n = 0;
-    for (auto &e : entries_) {
-        n += e.valid ? 1 : 0;
-        e.valid = false;
+    // validEntries_ == 0 means every entry is already invalid, and a
+    // flush touches nothing else (stamps and predictions are left as
+    // they are), so the scan would be a no-op.
+    const unsigned n = validEntries_;
+    if (n != 0) {
+        for (auto &e : entries_)
+            e.valid = false;
+        validEntries_ = 0;
     }
-    stats_.counter("flushes").inc();
-    stats_.counter("flushed_entries").inc(n);
+    stats_.lazyCounter(statFlushes_, "flushes").inc();
+    stats_.lazyCounter(statFlushedEntries_, "flushed_entries").inc(n);
     return n;
 }
 
@@ -101,7 +107,8 @@ Tlb::flushProc(ProcId proc)
             ++n;
         }
     }
-    stats_.counter("flushed_entries").inc(n);
+    validEntries_ -= n;
+    stats_.lazyCounter(statFlushedEntries_, "flushed_entries").inc(n);
     return n;
 }
 

@@ -103,7 +103,8 @@ class Tlb
     /** Install a translation, evicting the set's LRU entry if full. */
     void insert(VAddr vaddr, Addr ppage, ProcId proc, Domain domain);
 
-    /** Invalidate everything. @return number of entries dropped. */
+    /** Invalidate everything; O(1) when no entry is valid.
+     *  @return number of entries dropped. */
     unsigned flushAll();
 
     /** Invalidate entries of one process. @return entries dropped. */
@@ -167,6 +168,11 @@ class Tlb
     Counter &statMisses_;
     Counter &statFills_;
     Counter &statEvictions_;
+    // Purge-path counters, bound on first use (see lazyCounter()).
+    Counter *statFlushes_ = nullptr;
+    Counter *statFlushedEntries_ = nullptr;
+    /** Valid entries right now; kept exact by insert/flushAll/flushProc. */
+    unsigned validEntries_ = 0;
 };
 
 } // namespace ih

@@ -66,6 +66,21 @@ class StatGroup
     /** Get-or-create a counter with @p name. */
     Counter &counter(const std::string &name);
 
+    /**
+     * counter(@p name) cached in a caller-held @p slot: the first call
+     * creates the counter exactly as counter() would, later calls skip
+     * the string lookup. For per-event counters that must stay out of
+     * the dump until their event first happens, so they cannot be bound
+     * in a constructor.
+     */
+    Counter &
+    lazyCounter(Counter *&slot, const char *name)
+    {
+        if (!slot)
+            slot = &counter(name);
+        return *slot;
+    }
+
     /** Value of a counter, zero when absent. */
     std::uint64_t value(const std::string &name) const;
 

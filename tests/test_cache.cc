@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "mem/cache.hh"
 #include "mem/replacement.hh"
+#include "sim/rng.hh"
 
 using namespace ih;
 
@@ -242,3 +246,96 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(std::make_tuple(1u, 1u), std::make_tuple(8u, 2u),
                     std::make_tuple(64u, 4u), std::make_tuple(16u, 8u),
                     std::make_tuple(128u, 16u)));
+
+namespace
+{
+
+/** One lookup's observable outcome: hit, and which line. */
+Addr
+lookupOutcome(Cache &c, Addr a)
+{
+    const CacheLine *line = c.lookup(a);
+    return line ? line->lineAddr : ~Addr(0);
+}
+
+} // namespace
+
+/**
+ * A flushed cache must behave exactly like a newly constructed one:
+ * same hits, misses, victims and invalidation results for the same
+ * operations, whether the flush erased state or took the no-fill fast
+ * path. Seeded random operation streams include back-to-back flushes
+ * and flushes of never-filled caches; the flush return value and the
+ * flushes/flushed_lines counters are checked exactly.
+ */
+TEST(Cache, FlushRestoresFreshBehaviour)
+{
+    for (const char *repl : {"lru", "plru"}) {
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE(std::string(repl) + " seed " +
+                         std::to_string(seed));
+            // 8 sets x 4 ways over a 64-line address pool: sets
+            // overflow, so victims are chosen by the policy.
+            const auto make = [&] {
+                return std::make_unique<Cache>("t", 2048, 4, 64, repl);
+            };
+            auto c = make();
+            auto fresh = make();
+            Rng rng(seed);
+            std::uint64_t flushes = 0, flushed_lines = 0;
+            // Never flushed, so the purge counters are not in the dump.
+            EXPECT_EQ(c->stats().counters().count("flushes"), 0u);
+            for (int i = 0; i < 20000; ++i) {
+                const std::uint64_t op = rng.nextRange(100);
+                const Addr a = rng.nextRange(64) * 64;
+                if (op < 4 || i == 0) {
+                    // Flush (i == 0: of a never-filled cache), and
+                    // sometimes flush again right away.
+                    const unsigned reps = op < 2 ? 2 : 1;
+                    for (unsigned r = 0; r < reps; ++r) {
+                        const unsigned valid = c->validLines();
+                        ASSERT_EQ(valid, fresh->validLines());
+                        unsigned dirty = 0;
+                        c->forEachLine([&](CacheLine &l) {
+                            dirty += l.dirty ? 1 : 0;
+                        });
+                        unsigned dirty_seen = 0;
+                        ASSERT_EQ(c->flushAll([&](const CacheLine &l) {
+                                      EXPECT_TRUE(l.valid && l.dirty);
+                                      ++dirty_seen;
+                                  }),
+                                  valid);
+                        ASSERT_EQ(dirty_seen, dirty);
+                        ++flushes;
+                        flushed_lines += valid;
+                        ASSERT_EQ(c->stats().value("flushes"), flushes);
+                        ASSERT_EQ(c->stats().value("flushed_lines"),
+                                  flushed_lines);
+                        ASSERT_EQ(c->validLines(), 0u);
+                        fresh = make();
+                    }
+                } else if (op < 50) {
+                    const Addr hit = lookupOutcome(*c, a);
+                    ASSERT_EQ(hit, lookupOutcome(*fresh, a)) << "i=" << i;
+                    if (hit != ~Addr(0) && op < 20) {
+                        c->findLine(a)->dirty = true;
+                        fresh->findLine(a)->dirty = true;
+                    }
+                } else if (op < 90) {
+                    if (c->peek(a))
+                        continue;
+                    const Eviction ev = c->insert(a, 1, Domain::SECURE);
+                    const Eviction ref = fresh->insert(a, 1, Domain::SECURE);
+                    ASSERT_EQ(ev.happened, ref.happened) << "i=" << i;
+                    ASSERT_EQ(ev.victim.lineAddr, ref.victim.lineAddr);
+                    ASSERT_EQ(ev.victim.dirty, ref.victim.dirty);
+                } else {
+                    const auto dropped = c->invalidateLine(a);
+                    ASSERT_EQ(dropped.has_value(),
+                              fresh->invalidateLine(a).has_value());
+                }
+            }
+            EXPECT_GT(flushes, 1000u);
+        }
+    }
+}

@@ -14,6 +14,7 @@
 #include "mem/mem_controller.hh"
 #include "noc/routing.hh"
 #include "workloads/attacks.hh"
+#include "workloads/interactive_app.hh"
 
 using namespace ih;
 
@@ -203,6 +204,88 @@ TEST(PurgeScope, DrainTouchesOnlyGivenControllers)
     r.sys.mem().drainControllers({0}, 100);
     EXPECT_EQ(r.sys.mem().mc(0).pendingWrites(), 0u);
     EXPECT_EQ(r.sys.mem().mc(1).pendingWrites(), 1u);
+}
+
+namespace
+{
+
+/**
+ * MI6 that audits the machine right after every transition purge: no
+ * L1 line and no TLB entry of either domain may survive on any tile.
+ */
+class CheckedMi6 : public MulticoreMi6
+{
+  public:
+    using MulticoreMi6::MulticoreMi6;
+
+    Cycle
+    enclaveEnter(Process &proc, Cycle t) override
+    {
+        const Cycle done = MulticoreMi6::enclaveEnter(proc, t);
+        audit("enter");
+        return done;
+    }
+
+    Cycle
+    enclaveExit(Process &proc, Cycle t) override
+    {
+        const Cycle done = MulticoreMi6::enclaveExit(proc, t);
+        audit("exit");
+        return done;
+    }
+
+    std::uint64_t checked = 0;
+
+  private:
+    void
+    audit(const char *what)
+    {
+        ++checked;
+        MemorySystem &mem = sys_.mem();
+        for (CoreId c = 0; c < sys_.numTiles(); ++c) {
+            EXPECT_EQ(mem.l1(c).validLines(), 0u)
+                << what << " #" << checked << " tile " << c;
+            EXPECT_EQ(mem.tlb(c).validEntriesOf(Domain::SECURE), 0u)
+                << what << " #" << checked << " tile " << c;
+            EXPECT_EQ(mem.tlb(c).validEntriesOf(Domain::INSECURE), 0u)
+                << what << " #" << checked << " tile " << c;
+        }
+    }
+};
+
+} // namespace
+
+/**
+ * Machine-level purge completeness on the default 64-tile machine: an
+ * OS-level app under MI6 leaves no private state behind any enclave
+ * entry or exit, and every tile's L1 and TLB counts one flush per
+ * transition, including tiles that never ran a thread (whose flushes
+ * all take the no-fill fast path).
+ */
+TEST(PurgeCompleteness, Mi6EraseAllPrivateStateAtEveryTransition)
+{
+    System sys{SysConfig{}};
+    CheckedMi6 model(sys);
+    InteractiveApp app(sys, model, findApp("<MEMCACHED, OS>", 0.05));
+    RunOptions opts;
+    opts.warmup = 2;
+    opts.maxInteractions = 6;
+    app.run(opts);
+
+    ASSERT_EQ(model.checked, model.transitions());
+    ASSERT_GT(model.checked, 0u);
+    unsigned idle_tiles = 0;
+    for (CoreId c = 0; c < sys.numTiles(); ++c) {
+        const StatGroup &l1 = sys.mem().l1(c).stats();
+        EXPECT_EQ(l1.value("flushes"), model.checked) << "tile " << c;
+        EXPECT_EQ(sys.mem().tlb(c).stats().value("flushes"), model.checked)
+            << "tile " << c;
+        idle_tiles += l1.value("fills") == 0 ? 1 : 0;
+    }
+    // The app leaves some tiles idle, so the fast path is covered.
+    EXPECT_GT(idle_tiles, 0u);
+    EXPECT_EQ(sys.mem().stats().value("private_purges"),
+              model.checked * sys.numTiles());
 }
 
 namespace

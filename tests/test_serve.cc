@@ -171,8 +171,9 @@ TEST_F(ArrivalTest, SameSeedSameSchedule)
 
     // Arrivals are nondecreasing and every app index is in range.
     for (std::size_t i = 0; i < a.size(); ++i) {
-        if (i)
+        if (i) {
             EXPECT_GE(a[i].cycle, a[i - 1].cycle);
+        }
         EXPECT_LT(a[i].appIndex, cfg.mix.size());
     }
 

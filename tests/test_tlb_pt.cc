@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "mem/homing.hh"
@@ -455,4 +456,79 @@ TEST(Tlb, StalePredictionFallsBackToSetScanHit)
     EXPECT_EQ(e->ppage, 0xA000u);
     EXPECT_EQ(tlb.hits(), hits_before + 1);
     EXPECT_EQ(tlb.misses(), 0u);
+}
+
+namespace
+{
+
+unsigned
+validEntries(const Tlb &tlb)
+{
+    return tlb.validEntriesOf(Domain::SECURE) +
+           tlb.validEntriesOf(Domain::INSECURE);
+}
+
+} // namespace
+
+/**
+ * The TLB analogue of Cache.FlushRestoresFreshBehaviour: after every
+ * flushAll() the TLB answers lookups, fills and flushProc() calls
+ * exactly like a newly constructed one, with flushProc() interleaved
+ * so the valid-entry count behind flushAll()'s no-op fast path is
+ * exercised across partial flushes (including ones that empty the TLB).
+ */
+TEST(Tlb, FlushRestoresFreshBehaviour)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(seed);
+        const auto make = [] {
+            return std::make_unique<Tlb>("t", 16, 4096, 4);
+        };
+        auto tlb = make();
+        auto fresh = make();
+        Rng rng(seed);
+        std::uint64_t flushes = 0, flushed = 0, evictions_base = 0;
+        for (int i = 0; i < 20000; ++i) {
+            const std::uint64_t op = rng.nextRange(100);
+            const auto proc = static_cast<ProcId>(1 + rng.nextRange(3));
+            const Domain dom =
+                proc == 1 ? Domain::SECURE : Domain::INSECURE;
+            if (op < 4 || i == 0) {
+                // Back-to-back when op < 2; i == 0 flushes a never-filled
+                // TLB.
+                for (unsigned r = 0; r < (op < 2 ? 2u : 1u); ++r) {
+                    const unsigned valid = validEntries(*tlb);
+                    ASSERT_EQ(valid, validEntries(*fresh));
+                    ASSERT_EQ(tlb->flushAll(), valid);
+                    ++flushes;
+                    flushed += valid;
+                    ASSERT_EQ(tlb->stats().value("flushes"), flushes);
+                    ASSERT_EQ(tlb->stats().value("flushed_entries"),
+                              flushed);
+                    ASSERT_EQ(validEntries(*tlb), 0u);
+                    evictions_base = tlb->stats().value("evictions");
+                    fresh = make();
+                }
+            } else if (op < 12) {
+                const unsigned n = tlb->flushProc(proc);
+                ASSERT_EQ(n, fresh->flushProc(proc)) << "i=" << i;
+                flushed += n;
+                ASSERT_EQ(tlb->stats().value("flushed_entries"), flushed);
+            } else {
+                const VAddr va = rng.nextRange(40) * 4096;
+                TlbEntry *e = tlb->lookup(va, proc);
+                TlbEntry *ref = fresh->lookup(va, proc);
+                ASSERT_EQ(e != nullptr, ref != nullptr) << "i=" << i;
+                if (e) {
+                    ASSERT_EQ(e->ppage, ref->ppage);
+                } else {
+                    tlb->insert(va, 0xA0000 + va, proc, dom);
+                    fresh->insert(va, 0xA0000 + va, proc, dom);
+                }
+                ASSERT_EQ(tlb->stats().value("evictions") - evictions_base,
+                          fresh->stats().value("evictions"));
+            }
+        }
+        EXPECT_GT(flushes, 1000u);
+    }
 }

@@ -449,8 +449,9 @@ TEST(SystemWeave, DomainPartitionCoversTilesOnce)
         ASSERT_FALSE(tiles.empty());
         EXPECT_EQ(tiles.front(), next); // contiguous with predecessor
         for (std::size_t k = 0; k < tiles.size(); ++k) {
-            if (k)
+            if (k) {
                 EXPECT_EQ(tiles[k], tiles[k - 1] + 1);
+            }
             EXPECT_EQ(sys.weaveDomainOf(tiles[k]), d);
         }
         next = tiles.back() + 1;

@@ -53,15 +53,4 @@ System::suffixTiles(unsigned n) const
     return out;
 }
 
-std::vector<CoreId>
-System::weaveDomainTiles(unsigned d) const
-{
-    IH_ASSERT(d < cfg_.effectiveWeaveDomains(), "bad weave domain %u", d);
-    std::vector<CoreId> out;
-    for (CoreId t = 0; t < topo_.numTiles(); ++t)
-        if (cfg_.weaveDomainOf(t) == d)
-            out.push_back(t);
-    return out;
-}
-
 } // namespace ih

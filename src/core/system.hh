@@ -54,23 +54,6 @@ class System
     /** Tiles [n, total) — the suffix used as the insecure cluster. */
     std::vector<CoreId> suffixTiles(unsigned n) const;
 
-    // --- Weave-domain partition (bound-weave engine) ---------------------
-
-    /** Weave domain owning tile @p t (contiguous balanced ranges). */
-    unsigned weaveDomainOf(CoreId t) const
-    {
-        return cfg_.weaveDomainOf(t);
-    }
-
-    /** Number of weave domains actually used by this machine. */
-    unsigned numWeaveDomains() const
-    {
-        return cfg_.effectiveWeaveDomains();
-    }
-
-    /** Tiles of weave domain @p d, ascending (the bound lane's scope). */
-    std::vector<CoreId> weaveDomainTiles(unsigned d) const;
-
   private:
     SysConfig cfg_;
     Topology topo_;

@@ -46,16 +46,6 @@ struct ExperimentResult
     RunResult run;
     unsigned decidedSplit = 0;  ///< secure cores chosen (IRONHIDE)
     unsigned probes = 0;        ///< predictor probe evaluations
-    /**
-     * Host wall time the run's engine spent in the weave passes (zero
-     * on the serial engine). The serial capture share is the Amdahl
-     * bound on bound-lane scaling — see ExecEngine::WeaveProfile.
-     * Diagnostics only: not part of any report schema or checksum, and
-     * not carried across the --isolate wire codec.
-     */
-    double weaveCaptureSec = 0.0;
-    double weaveBoundSec = 0.0;
-    double weaveWeaveSec = 0.0;
 };
 
 /**

@@ -91,6 +91,7 @@ Cache::insert(Addr addr, ProcId owner, Domain domain)
         repl_->touch(set, way);
     statFills_.inc();
     ++fillsSinceFlush_;
+    ev.line = &line;
     return ev;
 }
 

@@ -44,9 +44,11 @@ struct CacheLine
     Domain ownerDomain = Domain::INSECURE;
 };
 
-/** Result of an insertion: the victim line, when one was evicted. */
+/** Result of an insertion: the filled line, and the victim line when
+ *  one was evicted. */
 struct Eviction
 {
+    CacheLine *line = nullptr; ///< the newly filled line
     bool happened = false;
     CacheLine victim;
 };
@@ -144,7 +146,8 @@ class Cache
 
     /**
      * Insert the line containing @p addr (must not be present).
-     * @return the eviction performed to make room, if any.
+     * @return the filled line, and the eviction performed to make
+     *         room, if any.
      */
     Eviction insert(Addr addr, ProcId owner, Domain domain);
 

@@ -53,11 +53,11 @@ class Directory
         return static_cast<unsigned>(__builtin_popcountll(mask));
     }
 
-    /** True when @p core is the only sharer. */
+    /** True when @p mask names exactly one core (no popcount needed). */
     static bool
-    soleSharer(std::uint64_t mask, CoreId core)
+    single(std::uint64_t mask)
     {
-        return mask == bit(core);
+        return mask != 0 && (mask & (mask - 1)) == 0;
     }
 
     /**

@@ -94,10 +94,14 @@ MemorySystem::noteHomeSlow(NotedHome &slot, HomingMode mode,
 CoreId
 MemorySystem::homeOfPhys(Addr pa) const
 {
-    const Addr ppage = pa & ~static_cast<Addr>(cfg_.pageBytes - 1);
-    auto it = localHomeByPpage_.find(ppage);
-    if (it != localHomeByPpage_.end())
-        return it->second;
+    // The map only ever holds local-homed pages; with none (every
+    // hash-homed configuration) skip the hash probe.
+    if (!localHomeByPpage_.empty()) {
+        const Addr ppage = pa & ~static_cast<Addr>(cfg_.pageBytes - 1);
+        auto it = localHomeByPpage_.find(ppage);
+        if (it != localHomeByPpage_.end())
+            return it->second;
+    }
     const Addr line = pa & ~static_cast<Addr>(cfg_.lineBytes - 1);
     return Homing::hashHome(line, allSlices_);
 }
@@ -129,15 +133,21 @@ MemorySystem::invalidateSharers(CacheLine &l2_line, CoreId except,
 void
 MemorySystem::writebackVictim(const CacheLine &victim, Cycle when)
 {
+    writebackInto(l2s_[homeOfPhys(victim.lineAddr)]->findLine(
+                      victim.lineAddr),
+                  victim.lineAddr, when);
+}
+
+void
+MemorySystem::writebackInto(CacheLine *l2_line, Addr line_pa, Cycle when)
+{
     statL1Writebacks_.inc();
-    const CoreId home = homeOfPhys(victim.lineAddr);
-    if (CacheLine *l2_line = l2s_[home]->findLine(victim.lineAddr)) {
+    if (l2_line) {
         l2_line->dirty = true;
     } else {
         // Home no longer caches the line (e.g. it was purged/re-homed):
         // the writeback flows through to the controller.
-        const RegionId region = regionOf(victim.lineAddr);
-        mcs_[regionMc_[region]]->acceptWrite(victim.lineAddr, when);
+        mcs_[regionMc_[regionOf(line_pa)]]->acceptWrite(line_pa, when);
     }
 }
 
@@ -216,11 +226,39 @@ MemorySystem::noteBlocked(ProcId proc, Cycle t)
     audit_->record(AuditKind::ACCESS_BLOCKED, t, proc);
 }
 
-Cycle
-MemorySystem::missProtocol(CoreId core, Addr pa, MemOp op, Cycle t,
-                           const ClusterRange &cluster, CoreId home,
-                           ProcId proc, Domain domain, bool *l2_hit)
+bool
+MemorySystem::noDirtyCopy(std::uint64_t sharers, Addr line_pa) const
 {
+    bool clean = true;
+    Directory::forEachSharer(sharers, [&](CoreId sharer) {
+        const CacheLine *l = l1s_[sharer]->peek(line_pa);
+        clean = clean && !(l && l->dirty);
+    });
+    return clean;
+}
+
+void
+MemorySystem::applyL1Victim(CoreId core, const CacheLine &victim, Cycle t)
+{
+    CacheLine *vl =
+        l2s_[homeOfPhys(victim.lineAddr)]->findLine(victim.lineAddr);
+    if (victim.dirty)
+        writebackInto(vl, victim.lineAddr, t);
+    // Keep the directory honest: drop the victim's sharer bit.
+    if (vl)
+        vl->sharers = Directory::removeSharer(vl->sharers, core);
+}
+
+AccessResult
+MemorySystem::accessMiss(CoreId core, AddressSpace &space,
+                         const PageInfo &info, Addr pa, MemOp op, Cycle t,
+                         const ClusterRange &cluster, AccessResult res)
+{
+    const ProcId proc = space.proc();
+    const Domain domain = space.domain();
+    const Addr line_pa = pa & ~static_cast<Addr>(cfg_.lineBytes - 1);
+    const CoreId home = homeFromInfo(space, info, line_pa);
+
     // ---- L2 home ----------------------------------------------------------
     t = net_.traverse(core, home, t, 1, cluster);
     t += cfg_.l2Latency;
@@ -241,31 +279,31 @@ MemorySystem::missProtocol(CoreId core, Addr pa, MemOp op, Cycle t,
         const Eviction ev = l2s_[home]->insert(pa, proc, domain);
         if (ev.happened)
             handleL2Eviction(ev.victim, t);
-        l2_line = l2s_[home]->findLine(pa);
-        IH_ASSERT(l2_line, "L2 line vanished after insert");
+        l2_line = ev.line;
     } else {
-        if (l2_hit)
-            *l2_hit = true;
-        // Another L1 may own the line dirty; fetch/forward it.
-        if (l2_line->sharers != 0 &&
-            !Directory::soleSharer(l2_line->sharers, core)) {
-            Cycle fwd = t;
-            Directory::forEachSharer(l2_line->sharers, [&](CoreId sharer) {
-                if (sharer == core)
-                    return;
-                CacheLine *sl = l1s_[sharer]->findLine(l2_line->lineAddr);
-                if (sl && sl->dirty) {
-                    // Home -> owner -> home forwarding round.
-                    fwd = std::max(fwd, net_.roundTrip(home, sharer, t, 1,
-                                                       dataFlits_,
-                                                       cluster));
-                    sl->dirty = false;
-                    sl->writable = false;
-                    l2_line->dirty = true;
-                    statDirtyForwards_.inc();
-                }
-            });
-            t = fwd;
+        res.l2Hit = true;
+        // Single-owner invariant: an L1 holds the line dirty only while
+        // the directory lists it as the *sole* sharer (a store miss or an
+        // upgrade drops every other sharer first, and the next miss here
+        // cleans it). So only a mask with exactly one sharer besides the
+        // requester can name a dirty owner to forward from.
+        const std::uint64_t others =
+            Directory::removeSharer(l2_line->sharers, core);
+        if (Directory::single(others)) {
+            const CoreId owner = static_cast<CoreId>(__builtin_ctzll(others));
+            CacheLine *ol = l1s_[owner]->findLine(line_pa);
+            if (ol && ol->dirty) {
+                // Home -> owner -> home forwarding round.
+                t = net_.roundTrip(home, owner, t, 1, dataFlits_, cluster);
+                ol->dirty = false;
+                ol->writable = false;
+                l2_line->dirty = true;
+                statDirtyForwards_.inc();
+            }
+        } else {
+            IH_DEBUG_ASSERT(noDirtyCopy(others, line_pa),
+                            "line %#llx dirty in an L1 beside other sharers",
+                            static_cast<unsigned long long>(line_pa));
         }
     }
 
@@ -273,83 +311,18 @@ MemorySystem::missProtocol(CoreId core, Addr pa, MemOp op, Cycle t,
     if (op == MemOp::STORE)
         t = invalidateSharers(*l2_line, core, home, t, cluster);
     l2_line->sharers = Directory::addSharer(l2_line->sharers, core);
-    return t;
-}
-
-void
-MemorySystem::applyL1Victim(CoreId core, const CacheLine &victim, Cycle t)
-{
-    if (victim.dirty)
-        writebackVictim(victim, t);
-    // Keep the directory honest: drop the victim's sharer bit.
-    const CoreId vhome = homeOfPhys(victim.lineAddr);
-    if (CacheLine *vl = l2s_[vhome]->findLine(victim.lineAddr))
-        vl->sharers = Directory::removeSharer(vl->sharers, core);
-}
-
-AccessResult
-MemorySystem::accessMiss(CoreId core, AddressSpace &space,
-                         const PageInfo &info, Addr pa, MemOp op, Cycle t,
-                         const ClusterRange &cluster, AccessResult res)
-{
-    const ProcId proc = space.proc();
-    const Addr line_pa = pa & ~static_cast<Addr>(cfg_.lineBytes - 1);
-    const CoreId home = homeFromInfo(space, info, line_pa);
-
-    t = missProtocol(core, pa, op, t, cluster, home, proc, space.domain(),
-                     &res.l2Hit);
 
     // ---- Fill L1 -----------------------------------------------------------
-    const Eviction l1_ev = l1s_[core]->insert(pa, proc, space.domain());
+    const Eviction l1_ev = l1s_[core]->insert(pa, proc, domain);
     if (l1_ev.happened)
         applyL1Victim(core, l1_ev.victim, t);
-    CacheLine *l1_line = l1s_[core]->findLine(pa);
-    IH_ASSERT(l1_line, "L1 line vanished after insert");
-    l1_line->writable = (op == MemOp::STORE);
-    l1_line->dirty = (op == MemOp::STORE);
+    l1_ev.line->writable = (op == MemOp::STORE);
+    l1_ev.line->dirty = (op == MemOp::STORE);
 
     // ---- Data response ------------------------------------------------------
     t = net_.traverse(home, core, t, dataFlits_, cluster);
     res.finish = t;
     return res;
-}
-
-MemorySystem::CaptureProbe
-MemorySystem::captureAccess(CoreId core, AddressSpace &space, VAddr va)
-{
-    IH_ASSERT(core < l1s_.size(), "access from core %u out of range", core);
-    statAccesses_.inc();
-    const PageInfo &info = space.ensureMapped(va);
-    CaptureProbe p;
-    p.proc = space.proc();
-    p.domain = space.domain();
-    p.pa = info.ppage + (va & static_cast<VAddr>(cfg_.pageBytes - 1));
-    // Same check-before-TLB-fill discipline as accessSlow(): a blocked
-    // access leaves no trace beyond its counters and audit record; in
-    // particular the bound lane will charge the walk but install
-    // nothing.
-    if (!checker_.allows(p.domain, regionOf(p.pa))) {
-        p.blocked = true;
-        statBlockedAccesses_.inc();
-        return p;
-    }
-    noteHome(space, info);
-    statL1Accesses_.inc();
-    const Addr line_pa = p.pa & ~static_cast<Addr>(cfg_.lineBytes - 1);
-    p.home = homeFromInfo(space, info, line_pa);
-    return p;
-}
-
-Cycle
-MemorySystem::weaveMiss(CoreId core, Addr pa, MemOp op, Cycle t,
-                        const ClusterRange &cluster, CoreId home,
-                        ProcId proc, Domain domain, const CacheLine *victim)
-{
-    t = missProtocol(core, pa, op, t, cluster, home, proc, domain,
-                     /*l2_hit=*/nullptr);
-    if (victim)
-        applyL1Victim(core, *victim, t);
-    return net_.traverse(home, core, t, dataFlits_, cluster);
 }
 
 AccessResult

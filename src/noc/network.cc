@@ -8,8 +8,8 @@ namespace ih
 {
 
 Network::Network(const SysConfig &cfg, const Topology &topo)
-    : cfg_(cfg), topo_(topo), router_(topo),
-      link_free_(static_cast<std::size_t>(topo.numTiles()) * 4, 0),
+    : cfg_(cfg), topo_(topo), router_(topo), tiles_(topo.numTiles()),
+      link_free_(static_cast<std::size_t>(tiles_) * 4, 0),
       stats_("noc"),
       statPackets_(stats_.counter("packets")),
       statFlits_(stats_.counter("flits")),
@@ -17,6 +17,9 @@ Network::Network(const SysConfig &cfg, const Topology &topo)
       statLinkStallCycles_(stats_.counter("link_stall_cycles")),
       statTotalLatency_(stats_.counter("total_latency"))
 {
+    coords_.reserve(tiles_);
+    for (CoreId t = 0; t < tiles_; ++t)
+        coords_.push_back(topo.coordOf(t));
 }
 
 Cycle
@@ -26,47 +29,33 @@ Network::unloadedLatency(CoreId src, CoreId dst) const
            cfg_.hopLatency;
 }
 
-unsigned
-Network::routeDomainCrossings(CoreId src, CoreId dst,
-                              const ClusterRange &cluster) const
+Network::RoutePlan &
+Network::findPlan(const ClusterRange &cluster)
 {
-    if (src == dst)
-        return 0;
-    const Coord s = topo_.coordOf(src);
-    const Coord e = topo_.coordOf(dst);
-    const RouteOrder order = router_.selectOrder(src, s, cluster);
-    unsigned crossings = 0;
-    int x = s.x;
-    int y = s.y;
-    unsigned dom = cfg_.weaveDomainOf(src);
-    const auto visit = [&](int nx, int ny) {
-        const unsigned d =
-            cfg_.weaveDomainOf(topo_.tileAt(Coord{nx, ny}));
-        if (d != dom) {
-            ++crossings;
-            dom = d;
+    for (const auto &plan : plans_) {
+        if (plan->cluster.first == cluster.first &&
+            plan->cluster.count == cluster.count) {
+            lastPlan_ = plan.get();
+            return *lastPlan_;
         }
-    };
-    const auto walk_x = [&]() {
-        for (; x < e.x; ++x)
-            visit(x + 1, y);
-        for (; x > e.x; --x)
-            visit(x - 1, y);
-    };
-    const auto walk_y = [&]() {
-        for (; y < e.y; ++y)
-            visit(x, y + 1);
-        for (; y > e.y; --y)
-            visit(x, y - 1);
-    };
-    if (order == RouteOrder::XY) {
-        walk_x();
-        walk_y();
-    } else {
-        walk_y();
-        walk_x();
     }
-    return crossings;
+    plans_.push_back(std::make_unique<RoutePlan>(RoutePlan{
+        cluster, std::vector<std::uint8_t>(
+                     static_cast<std::size_t>(tiles_) * tiles_,
+                     PLAN_UNSET)}));
+    lastPlan_ = plans_.back().get();
+    return *lastPlan_;
+}
+
+std::uint8_t
+Network::fillRoute(RoutePlan &plan, CoreId src, CoreId dst)
+{
+    const RouteOrder order = router_.selectOrder(src, plan.cluster);
+    std::uint8_t route = order == RouteOrder::YX ? PLAN_YX : 0;
+    if (!router_.orderedRouteContained(src, dst, order, plan.cluster))
+        route |= PLAN_LEAVES;
+    plan.entries[static_cast<std::size_t>(src) * tiles_ + dst] = route;
+    return route;
 }
 
 void

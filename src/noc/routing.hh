@@ -71,8 +71,8 @@ class Router
      *
      * This materializes the hop list and is kept as the reference
      * implementation (and for callers that genuinely need the vector);
-     * the simulation hot path uses the allocation-free forEachHop() /
-     * forEachLink() walks, whose equivalence with path() is pinned by
+     * the allocation-free forEachHop() / forEachLink() walks and the
+     * network's own link walk are pinned equivalent to it by
      * tests/test_noc.cc.
      */
     std::vector<CoreId> path(CoreId src, CoreId dst,
@@ -183,24 +183,14 @@ class Router
     /**
      * Select the dimension order for a packet of a cluster: Y-X when the
      * source lies in the cluster's boundary row (the row the cluster only
-     * partially owns), X-Y otherwise. Inline: runs per packet.
+     * partially owns), X-Y otherwise. The network caches the answer per
+     * (cluster, src, dst) in its route plans.
      */
     RouteOrder
     selectOrder(CoreId src, const ClusterRange &cluster) const
     {
-        return selectOrder(src, topo_.coordOf(src), cluster);
-    }
-
-    /**
-     * selectOrder() for a caller that already holds the source
-     * coordinate (the network's fused round-trip walk derives each
-     * endpoint's coordinate once and reuses it for both legs).
-     */
-    RouteOrder
-    selectOrder(CoreId src, const Coord &src_c,
-                const ClusterRange &cluster) const
-    {
         const unsigned width = topo_.width();
+        const Coord src_c = topo_.coordOf(src);
         // The boundary row is the row the cluster only partially owns
         // (if any). For a prefix cluster that is the row of its last
         // tile when the cluster does not end at a row boundary; for a
@@ -236,24 +226,14 @@ class Router
      * tile set iff it contains the set's minimum and maximum tile ids,
      * which for straight segments lie at the segment endpoints. The
      * equivalence with walking pathContained() over path() is pinned by
-     * tests/test_noc.cc. Inline: runs per packet.
+     * tests/test_noc.cc.
      */
     bool
     orderedRouteContained(CoreId src, CoreId dst, RouteOrder order,
                           const ClusterRange &cluster) const
     {
-        return orderedRouteContained(topo_.coordOf(src),
-                                     topo_.coordOf(dst), order, cluster);
-    }
-
-    /**
-     * orderedRouteContained() over precomputed endpoint coordinates
-     * (again for the network walk, which already holds them).
-     */
-    bool
-    orderedRouteContained(const Coord &s, const Coord &d, RouteOrder order,
-                          const ClusterRange &cluster) const
-    {
+        const Coord s = topo_.coordOf(src);
+        const Coord d = topo_.coordOf(dst);
         const CoreId w = topo_.width();
         const auto id = [w](int x, int y) {
             return static_cast<CoreId>(y) * w + static_cast<CoreId>(x);

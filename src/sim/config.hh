@@ -19,21 +19,6 @@
 namespace ih
 {
 
-/**
- * Which phase-execution engine `ExecEngine::runPhase` uses.
- *
- * SERIAL is the reference model: one global (time, thread) service
- * order, every memory access charged exactly where it happens. WEAVE
- * is the bound-weave engine: phases run in fixed cycle quanta whose
- * remote-memory work is replayed at a deterministic barrier (see
- * docs/ARCHITECTURE.md, "The two-engine contract").
- */
-enum class EngineKind : std::uint8_t
-{
-    SERIAL = 0,
-    WEAVE,
-};
-
 /** Machine-wide configuration knobs. */
 struct SysConfig
 {
@@ -110,41 +95,6 @@ struct SysConfig
      */
     unsigned domains = 1;
 
-    // --- Phase-execution engine (bound-weave) ----------------------------
-    /**
-     * Engine selection for runPhase. SERIAL (default) is the reference
-     * model; WEAVE is the domain-parallel bound-weave engine. Results
-     * are a pure function of (workload, config, seed) under either
-     * engine, but the two engines are *different timing models*:
-     * switching is an experiment change, not a host-performance knob.
-     * Overridable per process with IRONHIDE_ENGINE (see applyWeaveEnv()).
-     */
-    EngineKind engine = EngineKind::SERIAL;
-    /**
-     * Number of weave domains: the machine's tiles are split into this
-     * many contiguous tile-id ranges, and the bound sub-phase replays
-     * each domain's private L1/TLB traffic on its own lane. Part of the
-     * timing model only insofar as it groups event logs — the weave
-     * merge order (cycle, domain, seq) is canonical for any count.
-     */
-    unsigned weaveDomains = 4;
-    /**
-     * Weave quantum length in cycles: each phase is chopped into
-     * [k*Q, (k+1)*Q) windows with a weave barrier between them. Longer
-     * quanta amortize barrier cost but defer cross-domain timing
-     * corrections further (bench/abl_weave quantifies the error vs the
-     * serial reference).
-     */
-    Cycle weaveQuantum = 4096;
-    /**
-     * Host worker threads for the bound sub-phase; 0 (default) means
-     * hardware concurrency, capped at the weave-domain count. Purely a
-     * host-performance knob: results are byte-identical at every value
-     * (pinned by tests/test_weave.cc and a CI diff). Overridable per
-     * process with IRONHIDE_WEAVE_WORKERS (see applyWeaveEnv()).
-     */
-    unsigned weaveWorkers = 0;
-
     /** Number of tiles in the machine. */
     unsigned numTiles() const { return meshWidth * meshHeight; }
 
@@ -156,22 +106,6 @@ struct SysConfig
 
     /** Lines per page. */
     unsigned linesPerPage() const { return pageBytes / lineBytes; }
-
-    /** Weave-domain count actually used: never more than the tiles. */
-    unsigned effectiveWeaveDomains() const
-    {
-        const unsigned t = numTiles();
-        return weaveDomains < t ? weaveDomains : t;
-    }
-
-    /**
-     * Weave domain of tile @p tile: balanced contiguous ranges, domain
-     * d covering tiles [floor(d*T/D), floor((d+1)*T/D)).
-     */
-    unsigned weaveDomainOf(unsigned tile) const
-    {
-        return tile * effectiveWeaveDomains() / numTiles();
-    }
 
     /**
      * Apply a "key=value" override (e.g. "meshWidth=4"). Unknown keys are

@@ -70,6 +70,36 @@ TEST(Cache, InsertIntoFreeWayNoEviction)
     EXPECT_FALSE(c.insert(0x200, 0, Domain::INSECURE).happened);
 }
 
+// insert() hands back the line it filled — the miss path sets the
+// coherence bits through it instead of searching the set again — both
+// into a free way and into an evicted victim's way, under LRU and
+// tree-PLRU.
+TEST(Cache, InsertReturnsTheFilledLine)
+{
+    for (const char *repl : {"lru", "plru"}) {
+        Cache c = smallCache(repl);
+        // Three lines of one set (stride 512): two free ways, then a
+        // fill that has to evict.
+        for (const Addr a : {Addr(0x0000), Addr(0x0200), Addr(0x0410)}) {
+            const Eviction ev = c.insert(a, 7, Domain::SECURE);
+            EXPECT_EQ(ev.happened, a == 0x0410) << repl << " " << a;
+            ASSERT_NE(ev.line, nullptr) << repl;
+            EXPECT_TRUE(ev.line->valid);
+            EXPECT_EQ(ev.line->lineAddr, c.lineAddrOf(a)) << repl;
+            EXPECT_EQ(ev.line->ownerProc, 7u);
+            EXPECT_FALSE(ev.line->dirty);
+            EXPECT_EQ(ev.line, c.findLine(a)) << repl << " " << a;
+            if (ev.happened) {
+                EXPECT_NE(ev.victim.lineAddr, c.lineAddrOf(a));
+                EXPECT_EQ(c.findLine(ev.victim.lineAddr), nullptr);
+            }
+            // Writes through the returned pointer land in the cache.
+            ev.line->dirty = true;
+            EXPECT_TRUE(c.peek(a)->dirty) << repl;
+        }
+    }
+}
+
 TEST(Cache, DirtyEvictionReported)
 {
     Cache c = smallCache();

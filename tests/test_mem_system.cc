@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/access_check.hh"
 #include "mem/directory.hh"
 #include "mem/memory_system.hh"
 #include "noc/network.hh"
+#include "sim/rng.hh"
 
 using namespace ih;
 
@@ -311,9 +314,10 @@ TEST(Directory, BitmaskHelpers)
     EXPECT_TRUE(Directory::isSharer(m, 3));
     EXPECT_FALSE(Directory::isSharer(m, 4));
     EXPECT_EQ(Directory::count(m), 2u);
-    EXPECT_FALSE(Directory::soleSharer(m, 3));
+    EXPECT_FALSE(Directory::single(m));
     m = Directory::removeSharer(m, 60);
-    EXPECT_TRUE(Directory::soleSharer(m, 3));
+    EXPECT_TRUE(Directory::single(m));
+    EXPECT_FALSE(Directory::single(0));
 
     std::vector<CoreId> seen;
     Directory::forEachSharer(Directory::addSharer(m, 17),
@@ -531,4 +535,131 @@ TEST(MemorySystem, SplitAccessMatchesReferenceOnMixedTrace)
         EXPECT_EQ(ca[i].second, cb[i].second)
             << "counter " << ca[i].first << " diverged";
     }
+}
+
+// ---- Single-owner invariant ------------------------------------------------
+
+namespace
+{
+
+/** Tiny caches on the 4x4 mesh: L1 victims and L2 back-invalidations
+ *  happen within a few accesses. */
+SysConfig
+tinyCacheConfig()
+{
+    SysConfig cfg = SysConfig::smallTest();
+    cfg.l1Bytes = 512;      // 4 sets x 2 ways
+    cfg.l1Assoc = 2;
+    cfg.l2SliceBytes = 1024; // 8 sets x 2 ways
+    cfg.l2Assoc = 2;
+    cfg.validate();
+    return cfg;
+}
+
+} // namespace
+
+// The miss path forwards dirty data from at most one L1: the one the
+// directory lists as the only sharer besides the requester. That is
+// sound only while an L1 holds a line dirty exactly when its home L2
+// line's sharer mask is that core alone. Seeded random loads and
+// stores from every core over three spaces (two local-homed, one
+// hash-homed on a slice subset), interleaved with private purges and
+// page re-homing, must keep the invariant after every operation.
+TEST(MemorySystem, DirtyL1LineIsItsHomeSoleSharer)
+{
+    const SysConfig cfg = tinyCacheConfig();
+    Topology topo(cfg);
+    Network net(cfg, topo);
+    MemorySystem mem(cfg, topo, net);
+    const ClusterRange whole{0, topo.numTiles()};
+    AddressSpace secure(cfg, mem.allocator(), 1, Domain::SECURE);
+    AddressSpace insecure(cfg, mem.allocator(), 2, Domain::INSECURE);
+    AddressSpace hashed(cfg, mem.allocator(), 3, Domain::INSECURE);
+    secure.setHomingMode(HomingMode::LOCAL_HOMING);
+    secure.setAllowedSlices({0, 1, 2, 3, 4, 5, 6, 7});
+    insecure.setHomingMode(HomingMode::LOCAL_HOMING);
+    insecure.setAllowedSlices({8, 9, 10, 11, 12, 13, 14, 15});
+    hashed.setAllowedSlices({4, 5, 6, 7, 8, 9, 10, 11});
+    AddressSpace *const spaces[] = {&secure, &insecure, &hashed};
+
+    // Physical page -> (space, virtual page), to find a line's home.
+    std::map<Addr, std::pair<AddressSpace *, VAddr>> owner;
+    const auto homeOf = [&](Addr line_pa) {
+        const Addr ppage = line_pa & ~static_cast<Addr>(cfg.pageBytes - 1);
+        const auto it = owner.find(ppage);
+        if (it == owner.end()) {
+            ADD_FAILURE() << "no space maps ppage " << ppage;
+            return CoreId{0};
+        }
+        AddressSpace &space = *it->second.first;
+        if (space.homingMode() == HomingMode::LOCAL_HOMING)
+            return space.translate(it->second.second)->homeSlice;
+        return Homing::hashHome(line_pa, space.allowedSlices());
+    };
+    unsigned dirty_seen = 0;
+    const auto check = [&](unsigned step) {
+        for (CoreId c = 0; c < topo.numTiles(); ++c) {
+            mem.l1(c).forEachLine([&](CacheLine &line) {
+                if (!line.dirty)
+                    return;
+                ++dirty_seen;
+                const CacheLine *home =
+                    mem.l2(homeOf(line.lineAddr)).peek(line.lineAddr);
+                ASSERT_NE(home, nullptr)
+                    << "step " << step << ": core " << c
+                    << " holds a dirty line its home does not cache";
+                ASSERT_EQ(home->sharers, Directory::bit(c))
+                    << "step " << step << ": core " << c
+                    << " holds a dirty line beside other sharers";
+            });
+        }
+    };
+
+    Rng rng(20201);
+    Cycle t = 0;
+    const std::vector<std::vector<CoreId>> secure_homes = {
+        {0, 1, 2, 3, 4, 5, 6, 7}, {0, 1, 2, 3}, {4, 5, 6, 7, 8, 9}};
+    unsigned purges = 0;
+    unsigned rehomes = 0;
+    for (unsigned step = 0; step < 20000; ++step) {
+        const std::uint64_t roll = rng.nextRange(1000);
+        if (roll < 15) {
+            std::vector<CoreId> cores;
+            for (CoreId c = 0; c < topo.numTiles(); ++c) {
+                if (rng.chance(0.3))
+                    cores.push_back(c);
+            }
+            t = mem.purgePrivate(cores, t);
+            ++purges;
+        } else if (roll < 20) {
+            mem.rehomePages(secure,
+                            secure_homes[rng.nextRange(
+                                secure_homes.size())]);
+            ++rehomes;
+        } else {
+            const CoreId core =
+                static_cast<CoreId>(rng.nextRange(topo.numTiles()));
+            AddressSpace &space = *spaces[rng.nextRange(3)];
+            // 6 pages x 4 lines: contended, and larger than the caches.
+            const VAddr va = rng.nextRange(6) * cfg.pageBytes +
+                             rng.nextRange(4) * cfg.lineBytes;
+            const MemOp op =
+                rng.chance(0.4) ? MemOp::STORE : MemOp::LOAD;
+            t = mem.access(core, space, va, op, t, whole).finish;
+            const VAddr vpage = va & ~static_cast<VAddr>(cfg.pageBytes - 1);
+            owner[space.translate(va)->ppage] = {&space, vpage};
+        }
+        check(step);
+        if (HasFatalFailure())
+            return;
+    }
+    // The trace must reach the machinery the invariant depends on.
+    EXPECT_GT(purges, 0u);
+    EXPECT_GT(rehomes, 0u);
+    EXPECT_GT(dirty_seen, 0u);
+    EXPECT_GT(mem.stats().value("upgrades"), 0u);
+    EXPECT_GT(mem.stats().value("dirty_forwards"), 0u);
+    EXPECT_GT(mem.stats().value("l1_writebacks"), 0u);
+    EXPECT_GT(mem.stats().value("back_invalidations"), 0u);
+    EXPECT_GT(mem.stats().value("rehomed_pages"), 0u);
 }

@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "noc/network.hh"
 #include "noc/routing.hh"
 #include "noc/topology.hh"
+#include "sim/rng.hh"
 
 using namespace ih;
 
@@ -499,4 +503,138 @@ TEST(Network, TraverseMatchesForEachLinkReservationModel)
         EXPECT_EQ(net.stats().value("link_stall_cycles"), stalls);
         EXPECT_EQ(net.stats().value("total_latency"), latency);
     }
+}
+
+// The network caches one routing plan per cluster range: a byte per
+// (src, dst) pair holding the dimension order and whether the route
+// leaves the cluster. Every byte must equal what the router computes,
+// for the whole machine and for prefix and suffix clusters that do and
+// do not end on a row boundary.
+TEST(Network, RoutePlanMatchesRouter)
+{
+    for (const auto &[w, h] : {std::pair<unsigned, unsigned>{8, 8},
+                               std::pair<unsigned, unsigned>{6, 4}}) {
+        const SysConfig cfg = meshCfg(w, h);
+        const Topology topo(cfg);
+        const Router router(topo);
+        Network net(cfg, topo);
+        const unsigned n = topo.numTiles();
+        const std::vector<ClusterRange> clusters = {
+            {0, n},                     // whole machine
+            {0, 2 * w},                 // row-aligned prefix
+            {2 * w, n - 2 * w},         // row-aligned suffix
+            {0, w + w / 2},             // prefix ending mid-row
+            {w + w / 2, n - w - w / 2}, // suffix starting mid-row
+            {1, n - 2},                 // both ends mid-row
+        };
+        unsigned yx = 0;
+        unsigned leaves = 0;
+        // Twice round: the second pass reads the bytes the first filled.
+        for (int pass = 0; pass < 2; ++pass) {
+            for (const ClusterRange &cl : clusters) {
+                for (CoreId src = 0; src < n; ++src) {
+                    const RouteOrder order = router.selectOrder(src, cl);
+                    for (CoreId dst = 0; dst < n; ++dst) {
+                        std::uint8_t want =
+                            order == RouteOrder::YX ? Network::PLAN_YX : 0;
+                        if (!router.orderedRouteContained(src, dst, order,
+                                                          cl))
+                            want |= Network::PLAN_LEAVES;
+                        ASSERT_EQ(net.routePlan(src, dst, cl), want)
+                            << w << "x" << h << " [" << cl.first << ","
+                            << cl.count << ") " << src << "->" << dst;
+                        yx += (want & Network::PLAN_YX) ? 1 : 0;
+                        leaves += (want & Network::PLAN_LEAVES) ? 1 : 0;
+                    }
+                }
+            }
+        }
+        EXPECT_GT(yx, 0u);
+        EXPECT_GT(leaves, 0u);
+    }
+}
+
+// Timing and every noc.* counter of a seeded, contended mix of
+// traversals and round trips under several clusters (including routes
+// that leave their cluster) must match a reservation walk over the
+// materialized Router::path() of each leg.
+TEST(Network, PlannedWalkMatchesPathReservationModel)
+{
+    const SysConfig cfg = meshCfg(6, 4);
+    const Topology topo(cfg);
+    const Router router(topo);
+    Network net(cfg, topo);
+    const unsigned n = topo.numTiles();
+    const unsigned w = topo.width();
+    const std::vector<ClusterRange> clusters = {
+        {0, n}, {0, w + 2}, {w + 2, n - w - 2}, {0, 2 * w}};
+
+    std::vector<Cycle> shadow(static_cast<std::size_t>(n) * 4, 0);
+    std::map<std::string, std::uint64_t> want = {
+        {"packets", 0},
+        {"flits", 0},
+        {"isolation_violations", 0},
+        {"link_stall_cycles", 0},
+        {"total_latency", 0},
+    };
+    const auto leg = [&](CoreId src, CoreId dst, Cycle t0, unsigned flits,
+                         const ClusterRange &cl) {
+        const std::vector<CoreId> p =
+            router.path(src, dst, router.selectOrder(src, cl));
+        if (!router.pathContained(p, cl))
+            ++want["isolation_violations"];
+        Cycle t = t0;
+        for (std::size_t i = 1; i < p.size(); ++i) {
+            const CoreId from = p[i - 1];
+            const CoreId to = p[i];
+            const Router::Direction dir =
+                to == from + 1   ? Router::EAST
+                : to + 1 == from ? Router::WEST
+                : to == from + w ? Router::SOUTH
+                                 : Router::NORTH;
+            Cycle &slot = shadow[static_cast<std::size_t>(from) * 4 + dir];
+            if (slot > t) {
+                want["link_stall_cycles"] += slot - t;
+                t = slot;
+            }
+            slot = t + flits;
+            t += cfg.hopLatency;
+        }
+        t += flits > 1 ? (flits - 1) : 0;
+        want["total_latency"] += t - t0;
+        return t;
+    };
+
+    Rng rng(77);
+    Cycle when = 0;
+    for (unsigned i = 0; i < 20000; ++i) {
+        const CoreId a = static_cast<CoreId>(rng.nextRange(n));
+        const CoreId b = static_cast<CoreId>(rng.nextRange(n));
+        const ClusterRange &cl = clusters[rng.nextRange(clusters.size())];
+        const unsigned flits = 1 + static_cast<unsigned>(rng.nextRange(5));
+        Cycle expect = when;
+        Cycle got;
+        if (rng.chance(0.5)) {
+            if (a != b) {
+                want["packets"] += 1;
+                want["flits"] += flits;
+                expect = leg(a, b, when, flits, cl);
+            }
+            got = net.traverse(a, b, when, flits, cl);
+        } else {
+            if (a != b) {
+                want["packets"] += 2;
+                want["flits"] += 1 + flits;
+                expect = leg(b, a, leg(a, b, when, 1, cl), flits, cl);
+            }
+            got = net.roundTrip(a, b, when, 1, flits, cl);
+        }
+        ASSERT_EQ(got, expect) << "packet " << i;
+        when += rng.nextRange(3); // slow injection: links stay contended
+    }
+    for (const auto &[name, value] : want)
+        EXPECT_EQ(net.stats().value(name), value) << name;
+    EXPECT_EQ(net.stats().counters().size(), want.size());
+    EXPECT_GT(want["isolation_violations"], 0u);
+    EXPECT_GT(want["link_stall_cycles"], 0u);
 }

@@ -15,9 +15,9 @@
  * `--json <path>` writes a "BENCH_attacks/v1" report. The report holds
  * no host timing, and each cell is a pure function of
  * (channel, arch, config, trials, seed), so the bytes are identical at
- * any IRONHIDE_THREADS / IRONHIDE_DOMAINS setting (a CI leg diffs
- * them). IRONHIDE_ATTACK_TRIALS overrides the per-cell trial count
- * (default 24; must be a multiple of 4).
+ * any IRONHIDE_THREADS setting (a CI leg diffs them).
+ * IRONHIDE_ATTACK_TRIALS overrides the per-cell trial count (default
+ * 24; must be a multiple of 4).
  */
 
 #include <cstdio>

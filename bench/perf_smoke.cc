@@ -18,7 +18,7 @@
  *   {
  *     "schema": "BENCH_perf/v1",
  *     "bench": "perf_smoke",
- *     "scale": ..., "threads": ..., "domains": ...,
+ *     "scale": ..., "threads": ...,
  *     "repeats": ..., "jobs": ...,
  *     "wall_ms": ..., "wall_ms_best": ..., "jobs_per_sec": ...,
  *     "sim_completion_cycles_total": ...,  // determinism checksum
@@ -36,19 +36,10 @@
  *   - the determinism checksum differs (a stats-purity break, gated
  *     with zero tolerance).
  *
- * `--no-slower-than <path>` gates against a *sibling* report from the
- * same machine and commit instead of the committed baseline: this run's
- * wall_ms_best must not exceed the sibling's by more than the same
- * tolerance. CI uses it to require the IRONHIDE_DOMAINS=4 leg to be no
- * slower than the serial leg it just ran — a same-runner comparison,
- * so it needs no cross-machine baseline and no inflated tolerance.
- * Composes with --baseline (the checksum gate still comes from there).
- *
  * Knobs: IRONHIDE_PERF_SCALE (default 0.1), IRONHIDE_PERF_REPEATS
  * (default 1, best-of-N), IRONHIDE_THREADS (default 1 — single-run
  * speed is the quantity under test), IRONHIDE_PERF_TOLERANCE (gate
- * slack, default 0.15), IRONHIDE_DOMAINS (intra-run domain workers,
- * default 1 — wall time only, the checksum must not move).
+ * slack, default 0.15).
  */
 
 #include <chrono>
@@ -129,9 +120,9 @@ flagPath(int argc, char **argv, const char *flag)
  * in the job UI without digging through artifacts.
  */
 void
-appendStepSummary(unsigned domains, double wall_ms_best, double base_wall,
-                  double delta_ms, double delta_pct, double tolerance,
-                  bool checksum_ok, int rc)
+appendStepSummary(double wall_ms_best, double base_wall, double delta_ms,
+                  double delta_pct, double tolerance, bool checksum_ok,
+                  int rc)
 {
     const char *summary = std::getenv("GITHUB_STEP_SUMMARY");
     if (!summary || !*summary)
@@ -141,20 +132,16 @@ appendStepSummary(unsigned domains, double wall_ms_best, double base_wall,
         warn("cannot append to GITHUB_STEP_SUMMARY '%s'", summary);
         return;
     }
-    // The domains count labels the leg: the serial and the
-    // IRONHIDE_DOMAINS=N gate runs land in the same step summary, and
-    // each leg's wall history is what decides when its gate gets
-    // promoted from advisory (see ROADMAP.md).
     std::fprintf(f,
-                 "### perf_smoke gate (domains=%u): %s\n\n"
-                 "| domains | wall_ms_best | baseline | delta "
+                 "### perf_smoke gate: %s\n\n"
+                 "| wall_ms_best | baseline | delta "
                  "| tolerance | checksum |\n"
-                 "| --- | --- | --- | --- | --- | --- |\n"
-                 "| %u | %.1f ms | %.1f ms | %+.1f ms (%+.1f%%) "
+                 "| --- | --- | --- | --- | --- |\n"
+                 "| %.1f ms | %.1f ms | %+.1f ms (%+.1f%%) "
                  "| +%.0f%% | %s |\n\n",
-                 domains, rc == 0 ? "pass" : "FAIL", domains,
-                 wall_ms_best, base_wall, delta_ms, delta_pct,
-                 tolerance * 100.0, checksum_ok ? "ok" : "DRIFTED");
+                 rc == 0 ? "pass" : "FAIL", wall_ms_best, base_wall,
+                 delta_ms, delta_pct, tolerance * 100.0,
+                 checksum_ok ? "ok" : "DRIFTED");
     std::fclose(f);
 }
 
@@ -163,8 +150,8 @@ appendStepSummary(unsigned domains, double wall_ms_best, double base_wall,
  * @return process exit code (0 pass, 1 fail).
  */
 int
-gateAgainstBaseline(const char *path, unsigned domains,
-                    double wall_ms_best, std::uint64_t completion_total)
+gateAgainstBaseline(const char *path, double wall_ms_best,
+                    std::uint64_t completion_total)
 {
     const std::string base = readTextFile(path);
     double base_wall = 0.0;
@@ -201,38 +188,8 @@ gateAgainstBaseline(const char *path, unsigned domains,
                 "delta %+.1f ms / %+.1f%%, limit %.1f)\n",
                 rc == 0 ? "pass" : "FAIL", wall_ms_best, base_wall,
                 delta_ms, delta_pct, limit);
-    appendStepSummary(domains, wall_ms_best, base_wall, delta_ms,
-                      delta_pct, tolerance, checksum_ok, rc);
-    return rc;
-}
-
-/**
- * The sibling gate (--no-slower-than): this run must not be slower
- * than the referenced same-machine report by more than the tolerance.
- * @return process exit code (0 pass, 1 fail).
- */
-int
-gateAgainstSibling(const char *path, double wall_ms_best)
-{
-    const std::string sibling = readTextFile(path);
-    double sibling_wall = 0.0;
-    if (!jsonNumberField(sibling, "wall_ms_best", sibling_wall) ||
-        sibling_wall <= 0.0) {
-        fatal("sibling report '%s' has no usable wall_ms_best", path);
-    }
-    const double tolerance = envTolerance();
-    const double limit = sibling_wall * (1.0 + tolerance);
-    const int rc = wall_ms_best > limit ? 1 : 0;
-    if (rc != 0) {
-        warn("perf gate: wall_ms_best %.1f exceeds %.1f (sibling %.1f "
-             "+%.0f%%) — this configuration is slower than the sibling "
-             "leg on the same machine",
-             wall_ms_best, limit, sibling_wall, tolerance * 100.0);
-    }
-    std::printf("sibling gate: %s (wall_ms_best %.1f vs sibling %.1f, "
-                "limit %.1f)\n",
-                rc == 0 ? "pass" : "FAIL", wall_ms_best, sibling_wall,
-                limit);
+    appendStepSummary(wall_ms_best, base_wall, delta_ms, delta_pct,
+                      tolerance, checksum_ok, rc);
     return rc;
 }
 
@@ -243,7 +200,6 @@ main(int argc, char **argv)
 {
     const char *json_path = jsonReportPath(argc, argv);
     const char *baseline_path = flagPath(argc, argv, "--baseline");
-    const char *sibling_path = flagPath(argc, argv, "--no-slower-than");
     printBanner("perf_smoke",
                 "Times a fixed mini-sweep (fig6 grid, reduced scale) and "
                 "reports\nhost wall-clock speed plus a determinism "
@@ -258,12 +214,7 @@ main(int argc, char **argv)
     unsigned threads = sweepThreads();
     if (threads == 0)
         threads = 1;
-    // Intra-run domain workers (IRONHIDE_DOMAINS, default 1 = serial).
-    // The knob only moves wall time; the determinism checksum must be
-    // byte-identical at every value — CI runs the gate at 1 and 4 and
-    // fails on any drift.
     const SysConfig cfg = benchConfig();
-    const unsigned domains = effectiveDomains(cfg);
 
     const std::vector<SweepJob> jobs =
         SweepGrid()
@@ -306,7 +257,6 @@ main(int argc, char **argv)
     table.addRow({"jobs", strprintf("%zu", jobs.size())});
     table.addRow({"scale", Table::num(scale, 3)});
     table.addRow({"threads", strprintf("%u", threads)});
-    table.addRow({"domains", strprintf("%u", domains)});
     table.addRow({"repeats", strprintf("%u", repeats)});
     table.addRow({"wall(ms) mean", Table::num(wall_ms, 1)});
     table.addRow({"wall(ms) best", Table::num(wall_ms_best, 1)});
@@ -324,7 +274,6 @@ main(int argc, char **argv)
         w.key("bench").value("perf_smoke");
         w.key("scale").value(scale);
         w.key("threads").value(threads);
-        w.key("domains").value(domains);
         w.key("repeats").value(repeats);
         w.key("jobs").value(std::uint64_t{jobs.size()});
         w.key("wall_ms").value(wall_ms);
@@ -344,11 +293,8 @@ main(int argc, char **argv)
         writeTextFile(json_path, w.str() + "\n");
         inform("wrote perf report: %s", json_path);
     }
-    int rc = 0;
     if (baseline_path)
-        rc |= gateAgainstBaseline(baseline_path, domains, wall_ms_best,
-                                  completion_total);
-    if (sibling_path)
-        rc |= gateAgainstSibling(sibling_path, wall_ms_best);
-    return rc;
+        return gateAgainstBaseline(baseline_path, wall_ms_best,
+                                   completion_total);
+    return 0;
 }

@@ -19,8 +19,8 @@
  * own, --journal resumes completed ladders across crashes, --isolate
  * forks each ladder into a supervised child (IRONHIDE_JOB_TIMEOUT_MS /
  * IRONHIDE_JOB_RETRIES apply). `--json <path>` writes the
- * "BENCH_serve/v1" report — byte-identical at any IRONHIDE_THREADS /
- * IRONHIDE_DOMAINS setting (CI diffs 1 vs 4).
+ * "BENCH_serve/v1" report — byte-identical at any IRONHIDE_THREADS
+ * setting (CI diffs 1 vs 4).
  *
  * Knobs: IRONHIDE_SERVE_SESSIONS (sessions per ladder rung, default
  * 48), IRONHIDE_SERVE_APPS (serve only the first n paper apps),
@@ -190,8 +190,7 @@ main(int argc, char **argv)
         if (kArchs[i] == ArchKind::IRONHIDE) {
             for (const AppSpec &app : apps)
                 lopts.serve.splits.push_back(
-                    decideSplit(app, cfg, SplitPolicy::HEURISTIC, 4,
-                                effectiveDomains(cfg))
+                    decideSplit(app, cfg, SplitPolicy::HEURISTIC, 4)
                         .secureCores);
         }
         return serializeLadder(

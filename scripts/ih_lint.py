@@ -2,7 +2,7 @@
 """ih_lint: the determinism-contract linter.
 
 The repo's load-bearing claim is byte-identical simulated results at any
-host thread / domain / worker count (docs/ARCHITECTURE.md, "The
+host thread / worker count (docs/ARCHITECTURE.md, "The
 determinism contract").  Example-based diff tests enforce it for the
 traces they happen to sample; this linter makes the contract
 mechanically checkable at the source level.  It walks src/, bench/ and
@@ -45,6 +45,11 @@ corpus) and flags:
       appears in neither README.md nor docs/ — a knob cannot land
       undocumented.  (Absorbed from the former
       scripts/check_docs_knobs.sh.)
+
+  stale-knob-row
+      The converse: a row of README.md's "Environment knob reference"
+      table whose knob is referenced as a string literal nowhere in
+      src/, bench/ or tests/ — a removed knob cannot stay documented.
 
 Every suppression lives in ALLOWLIST below: one entry per site, with a
 justification string.  Entries that no longer match anything are an
@@ -89,7 +94,7 @@ ALLOWLIST = [
             "order picks each page's new slice (seq round-robin), so it IS "
             "result-affecting — but it is deterministic in the contract's "
             "sense: libstdc++ iteration order is a pure function of the "
-            "insertion/erase sequence, which host thread/domain/worker "
+            "insertion/erase sequence, which host thread/worker "
             "knobs never change (pinned by the byte-identity CI legs). "
             "Rewriting to canonical sorted-key order changes which page "
             "lands on which slice and therefore the golden figure JSON; "
@@ -354,6 +359,8 @@ RAW_PARSE_RE = re.compile(
     r"|stof|stod|stold)\s*\(")
 GETENV_RE = re.compile(r"\bgetenv\s*\(")
 KNOB_RE = re.compile(r'"((?:IRONHIDE|IH)_[A-Z0-9_]+)"')
+KNOB_TABLE_HEADING = "## Environment knob reference"
+KNOB_ROW_RE = re.compile(r"^\|\s*`((?:IRONHIDE|IH)_[A-Z0-9_]+)`\s*\|")
 RANGE_FOR_RE = r"for\s*\([^;)]*:\s*(?:\w+\s*\.\s*)?%s\s*\)"
 # begin() only: end() alone cannot iterate, and it appears in the
 # harmless find()/end() point-lookup comparison all over the tree.
@@ -491,14 +498,49 @@ def rule_undocumented_knob(files_lines, root):
     return findings
 
 
-def run_rules(root, files, knob_root=None):
+def knob_table_rows(root, relpath):
+    """-> [(line_no, knob, line)] for each knob-table row in @p relpath."""
+    rows = []
+    in_table = False
+    with open(os.path.join(root, relpath), encoding="utf-8") as f:
+        for ln, line in enumerate(f, 1):
+            if line.startswith("## "):
+                in_table = line.strip() == KNOB_TABLE_HEADING
+                continue
+            m = KNOB_ROW_RE.match(line) if in_table else None
+            if m:
+                rows.append((ln, m.group(1), line.rstrip("\n")))
+    return rows
+
+
+def rule_stale_knob_row(files_lines, root, readme):
+    referenced = set()
+    for lines in files_lines.values():
+        for line in lines[0]:
+            referenced.update(KNOB_RE.findall(line))
+    rows = knob_table_rows(root, readme)
+    if not rows:
+        return [Finding("stale-knob-row", readme, 0, "",
+                        "found no rows under '%s' -- broken scan?"
+                        % KNOB_TABLE_HEADING)]
+    return [
+        Finding("stale-knob-row", readme, ln, line,
+                "knob '%s' has a row in the environment knob reference "
+                "table but no string literal in src/, bench/ or tests/ "
+                "reads it — drop the row with the knob" % knob)
+        for ln, knob, line in rows if knob not in referenced
+    ]
+
+
+def run_rules(root, files):
     files_lines = {p: read_stripped(root, p) for p in files}
     findings = []
     findings += rule_unordered_iteration(files_lines)
     findings += rule_wall_clock(files_lines)
     findings += rule_raw_parse(files_lines)
     findings += rule_raw_getenv(files_lines)
-    findings += rule_undocumented_knob(files_lines, knob_root or root)
+    findings += rule_undocumented_knob(files_lines, root)
+    findings += rule_stale_knob_row(files_lines, root, "README.md")
     return findings
 
 
@@ -534,6 +576,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     "tests/lint_fixtures/raw_parse.cc": ["raw-parse"],
     "tests/lint_fixtures/raw_getenv.cc": ["raw-getenv"],
     "tests/lint_fixtures/undocumented_knob.cc": ["undocumented-knob"],
+    "tests/lint_fixtures/README.md": ["stale-knob-row"],
     "tests/lint_fixtures/clean.cc": [],
 }
 
@@ -561,6 +604,8 @@ def self_test(root):
     findings += rule_raw_parse(files_lines)
     findings += rule_raw_getenv(files_lines)
     findings += rule_undocumented_knob(files_lines, root)
+    findings += rule_stale_knob_row(files_lines, root,
+                                    os.path.join(FIXTURE_DIR, "README.md"))
 
     got = {}
     for f in findings:

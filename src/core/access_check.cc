@@ -51,19 +51,4 @@ RegionOwnership::makeCheck() const
     return RegionCheck::fromTable(owner_);
 }
 
-AccessChecker
-RegionOwnership::makeChecker() const
-{
-    // Copy the table into the closure: the checker outlives this object
-    // if the caller keeps only the std::function.
-    std::vector<Domain> owner = owner_;
-    return [owner](Domain requester, RegionId region) -> bool {
-        if (region >= owner.size())
-            return false;
-        if (requester == Domain::SECURE)
-            return true; // may read its own + shared (insecure) regions
-        return owner[region] == Domain::INSECURE;
-    };
-}
-
 } // namespace ih

@@ -54,13 +54,6 @@ class RegionOwnership
      */
     RegionCheck makeCheck() const;
 
-    /**
-     * The same rule as a closure. Kept as the escape-hatch form for
-     * tests that consume the checker as a plain callable; makeCheck()
-     * is what the access hot path runs.
-     */
-    AccessChecker makeChecker() const;
-
     unsigned numRegions() const
     {
         return static_cast<unsigned>(owner_.size());

@@ -24,7 +24,6 @@
 #define IH_CORE_REALLOC_PREDICTOR_HH
 
 #include <functional>
-#include <vector>
 
 #include "sim/types.hh"
 
@@ -37,20 +36,6 @@ class ReallocPredictor
   public:
     /** Predicted completion time for a given secure core count. */
     using ProbeFn = std::function<double(unsigned secure_cores)>;
-
-    /**
-     * Advisory batch hint: splits the search may probe next, ordered
-     * most-likely-first. A caller with idle domain workers can
-     * evaluate (and memoize) a prefix of the batch concurrently — the
-     * likelihood order lets it cap speculative waste at its worker
-     * count — so the subsequent ProbeFn calls return instantly.
-     * Purely an optimization channel: the search consults only ProbeFn
-     * for values and takes every decision in the same order with or
-     * without a prefetcher, so the Decision is bit-identical (probe
-     * counts included: speculative evaluations are never counted, only
-     * the algorithmic ProbeFn calls are).
-     */
-    using PrefetchFn = std::function<void(const std::vector<unsigned> &)>;
 
     /** Outcome of a search. */
     struct Decision
@@ -71,15 +56,6 @@ class ReallocPredictor
 
     /** Gradient-based hill climb from @p start. */
     Decision gradientSearch(unsigned start, const ProbeFn &probe) const;
-
-    /**
-     * Gradient-based hill climb with a prefetch hint channel: before
-     * each probe the candidates reachable in the next step or two are
-     * announced through @p prefetch (nullptr = no hints, identical to
-     * the two-argument overload).
-     */
-    Decision gradientSearch(unsigned start, const ProbeFn &probe,
-                            const PrefetchFn &prefetch) const;
 
     /** Exhaustive oracle sweep (no charged cost). */
     Decision optimalSweep(const ProbeFn &probe) const;

@@ -7,10 +7,9 @@
  * inter-arrival gap and every app choice in a fixed order, so the
  * schedule is a pure function of the ArrivalConfig. Nothing about it
  * consults worker counts, wall clocks or global state — the same
- * config yields the same schedule at any IRONHIDE_THREADS /
- * IRONHIDE_DOMAINS setting, which is what lets the serving reports
- * stay byte-identical under host parallelism (tests/test_serve.cc
- * pins this).
+ * config yields the same schedule at any IRONHIDE_THREADS setting,
+ * which is what lets the serving reports stay byte-identical under
+ * host parallelism (tests/test_serve.cc pins this).
  */
 
 #ifndef IH_HARNESS_ARRIVAL_HH

@@ -1,14 +1,9 @@
 #include "harness/experiment.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <exception>
 #include <map>
-#include <thread>
-#include <vector>
 
 #include "core/ironhide.hh"
-#include "harness/parallel.hh"
 #include "harness/report.hh"
 #include "sim/log.hh"
 
@@ -34,159 +29,39 @@ probeCompletion(const AppSpec &spec, const SysConfig &cfg, unsigned split,
     return static_cast<double>(r.completion);
 }
 
-/**
- * Memoized probe evaluator with optional domain-parallel prefetch.
- *
- * probeCompletion() is a pure function of (spec, cfg, split,
- * interactions) — every probe builds and discards a fresh System — so
- * probes at distinct splits commute and can run on concurrent host
- * workers without any observable effect beyond wall time. The pool
- * exploits that: prefetch() evaluates a batch of splits in parallel
- * and memoizes the values; probe() serves the memo (or computes
- * serially on a miss). Both are called only from the search thread —
- * the memo is never mutated concurrently, the workers write a local
- * array that is folded in after the join — so the values the search
- * consumes are bit-identical at any worker count.
- */
-class ProbePool
-{
-  public:
-    ProbePool(const AppSpec &spec, const SysConfig &cfg,
-              std::uint64_t interactions, unsigned workers)
-        : spec_(spec), cfg_(cfg), interactions_(interactions),
-          workers_(std::max(1u, workers))
-    {
-    }
-
-    double
-    probe(unsigned split)
-    {
-        auto it = memo_.find(split);
-        if (it != memo_.end()) {
-            // A failed speculative evaluation surfaces if — and only
-            // if — the search actually consumes this split, exactly
-            // where the serial path would have thrown. Speculative
-            // failures of never-consumed splits die with the pool, so
-            // "domains buys wall time only" holds on the error path
-            // too.
-            if (it->second.error)
-                std::rethrow_exception(it->second.error);
-            return it->second.value;
-        }
-        const double f =
-            probeCompletion(spec_, cfg_, split, interactions_);
-        memo_.emplace(split, Entry{f, nullptr});
-        return f;
-    }
-
-    /**
-     * Speculative hint (likelihood-ordered): evaluate at most one
-     * worker-round of the not-yet-memoized prefix, so a batch costs
-     * one probe of wall time and at most workers-1 speculative probes
-     * can ever go unconsumed.
-     */
-    void
-    prefetch(const std::vector<unsigned> &candidates)
-    {
-        // With no second hardware thread to absorb it, speculation can
-        // only burn wall time — skip it (results are unchanged either
-        // way by the advisory-hint contract; certain work below is
-        // exempt since every one of its probes gets consumed). A
-        // report of 0 means "unknown" per the standard, so only a
-        // *known* single-core host disables speculation.
-        if (std::thread::hardware_concurrency() == 1)
-            return;
-        fill(candidates, /*cap=*/workers_);
-    }
-
-    /** Certain work (every candidate will be consumed): no cap. */
-    void
-    prefetchAll(const std::vector<unsigned> &candidates)
-    {
-        fill(candidates, candidates.size());
-    }
-
-  private:
-    void
-    fill(const std::vector<unsigned> &candidates, std::size_t cap)
-    {
-        if (workers_ <= 1)
-            return; // serial path: evaluate lazily in probe()
-        std::vector<unsigned> missing;
-        for (unsigned s : candidates) {
-            if (missing.size() >= cap)
-                break;
-            if (memo_.count(s) == 0 &&
-                std::find(missing.begin(), missing.end(), s) ==
-                    missing.end()) {
-                missing.push_back(s);
-            }
-        }
-        if (missing.empty())
-            return;
-        std::vector<Entry> vals(missing.size());
-        parallelForIndex(missing.size(), workers_, [&](std::size_t i) {
-            // Capture failures instead of letting them propagate: the
-            // serial search never evaluates a speculative candidate it
-            // does not consume, so neither may a worker failure abort
-            // the run. probe() rethrows at the consumption point.
-            try {
-                vals[i].value = probeCompletion(spec_, cfg_, missing[i],
-                                                interactions_);
-            } catch (...) {
-                vals[i].error = std::current_exception();
-            }
-        });
-        for (std::size_t i = 0; i < missing.size(); ++i)
-            memo_.emplace(missing[i], vals[i]);
-    }
-
-    /** One memoized evaluation: a value, or the exception it threw. */
-    struct Entry
-    {
-        double value = 0.0;
-        std::exception_ptr error;
-    };
-
-    const AppSpec &spec_;
-    const SysConfig &cfg_;
-    std::uint64_t interactions_;
-    unsigned workers_;
-    std::map<unsigned, Entry> memo_;
-};
-
 } // namespace
 
 ReallocPredictor::Decision
 decideSplit(const AppSpec &spec, const SysConfig &cfg, SplitPolicy policy,
-            std::uint64_t probe_interactions, unsigned domains)
+            std::uint64_t probe_interactions, unsigned workers)
 {
+    // The probe search is serial. The parameter remains only because
+    // perfbench/driver.cc's runCell() passes a literal 1; it goes with
+    // the next change to the benchmark.
+    IH_ASSERT(workers == 1, "decideSplit: probe workers must be 1 (got %u)",
+              workers);
     const unsigned tiles = cfg.meshWidth * cfg.meshHeight;
     // Keep at least two tiles per cluster so both memory controllers of
     // each edge stay reachable.
     ReallocPredictor pred(2, tiles - 2, 0);
-    ProbePool pool(spec, cfg, probe_interactions, domains);
-    const auto probe = [&](unsigned s) { return pool.probe(s); };
+    // probeCompletion() is a pure function of the split, so a split the
+    // gradient walk re-crosses after an improvement is served from this
+    // memo instead of being simulated again.
+    std::map<unsigned, double> memo;
+    const auto probe = [&](unsigned s) {
+        const auto it = memo.find(s);
+        if (it != memo.end())
+            return it->second;
+        const double f = probeCompletion(spec, cfg, s, probe_interactions);
+        memo.emplace(s, f);
+        return f;
+    };
 
     switch (policy) {
       case SplitPolicy::HEURISTIC:
-        if (domains > 1) {
-            return pred.gradientSearch(
-                tiles / 2, probe,
-                [&](const std::vector<unsigned> &c) { pool.prefetch(c); });
-        }
         return pred.gradientSearch(tiles / 2, probe);
       case SplitPolicy::OPTIMAL: {
         // Oracle: sweep even splits, then refine +/-1 around the best.
-        // The even grid is known upfront, so the domain workers can
-        // evaluate it wholesale; the selection loop below still
-        // consumes the (memoized) values in canonical split order.
-        if (domains > 1) {
-            std::vector<unsigned> evens;
-            for (unsigned s = 2; s <= tiles - 2; s += 2)
-                evens.push_back(s);
-            pool.prefetchAll(evens);
-        }
         ReallocPredictor::Decision best;
         double best_f = -1.0;
         for (unsigned s = 2; s <= tiles - 2; s += 2) {
@@ -196,11 +71,6 @@ decideSplit(const AppSpec &spec, const SysConfig &cfg, SplitPolicy policy,
                 best_f = f;
                 best.secureCores = s;
             }
-        }
-        if (domains > 1) {
-            pool.prefetch({static_cast<unsigned>(std::max<long>(
-                               2, static_cast<long>(best.secureCores) - 1)),
-                           std::min(tiles - 2, best.secureCores + 1)});
         }
         for (int d : {-1, +1}) {
             const long cand = static_cast<long>(best.secureCores) + d;
@@ -225,24 +95,6 @@ decideSplit(const AppSpec &spec, const SysConfig &cfg, SplitPolicy policy,
     return d;
 }
 
-unsigned
-effectiveDomains(const SysConfig &cfg)
-{
-    // Same strict shared parsing as IRONHIDE_THREADS (parseEnvUnsigned),
-    // with the domains-specific semantics on top: 0 = hardware
-    // concurrency, anything invalid/unset = the config knob.
-    unsigned long v = 0;
-    if (parseEnvUnsigned("IRONHIDE_DOMAINS",
-                         std::getenv("IRONHIDE_DOMAINS"), 256, v)) {
-        if (v == 0) {
-            const unsigned hw = std::thread::hardware_concurrency();
-            return std::clamp(hw, 1u, 256u);
-        }
-        return static_cast<unsigned>(v);
-    }
-    return cfg.domains;
-}
-
 ExperimentResult
 runExperiment(const AppSpec &spec, ArchKind kind, const SysConfig &cfg,
               const IronhideOptions &ihopts)
@@ -264,8 +116,7 @@ runExperiment(const AppSpec &spec, ArchKind kind, const SysConfig &cfg,
         } else {
             ReallocPredictor::Decision d =
                 decideSplit(spec, cfg, ihopts.policy,
-                            ihopts.probeInteractions,
-                            effectiveDomains(cfg));
+                            ihopts.probeInteractions);
             target = d.secureCores;
             out.probes = d.probes;
             if (ihopts.variationPct != 0) {

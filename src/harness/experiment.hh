@@ -51,29 +51,15 @@ struct ExperimentResult
 /**
  * Decide the secure-cluster split for @p spec via probe runs.
  *
- * Each probe is a complete short simulation on a fresh machine, so
- * probes at distinct splits are independent and pure. @p domains > 1
- * evaluates them on that many host workers (speculatively, one search
- * step ahead), memoized so the search itself consumes every value in
- * its canonical serial order: the returned Decision — probe count
- * included — is bit-identical at any domain count
- * (tests/test_domains.cc pins this).
+ * Each probe is a complete short simulation on a fresh machine at one
+ * split. Probes are memoized per call, so a split the search revisits
+ * is simulated once; the Decision's probe count still counts every
+ * search step. @p workers must be 1: the parameter survives only for
+ * perfbench/driver.cc, which passes it explicitly.
  */
 ReallocPredictor::Decision
 decideSplit(const AppSpec &spec, const SysConfig &cfg, SplitPolicy policy,
-            std::uint64_t probe_interactions, unsigned domains = 1);
-
-/**
- * Intra-run worker count actually in effect: the IRONHIDE_DOMAINS env
- * var when set (0 = hardware concurrency, capped like
- * IRONHIDE_THREADS), else cfg.domains. The knob trades host wall time
- * only — simulated results are byte-identical at every value. Note
- * the knobs multiply: IRONHIDE_THREADS sweep workers each run their
- * jobs' probe pools at this count, so threads x domains concurrent
- * simulations can exist at once; size the product to the host (the
- * perf_smoke legs keep threads at 1 for exactly this reason).
- */
-unsigned effectiveDomains(const SysConfig &cfg);
+            std::uint64_t probe_interactions, unsigned workers = 1);
 
 /** Run @p spec under architecture @p kind on a fresh machine. */
 ExperimentResult runExperiment(const AppSpec &spec, ArchKind kind,

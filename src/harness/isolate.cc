@@ -208,18 +208,18 @@ struct Child
 
 } // namespace
 
-std::vector<RawIsolatedCell>
-superviseRawJobs(const std::vector<std::size_t> &jobIds,
-                 const std::function<std::string(std::size_t)> &fn,
-                 const std::function<bool(const std::string &)> &validate,
-                 const std::function<std::string(const std::string &)>
-                     &perturb,
-                 const IsolateConfig &cfg, const FaultPlan &faults,
-                 const std::function<void(std::size_t idx,
-                                          const RawIsolatedCell &)> &onDone)
+std::vector<IsolatedCell>
+superviseJobs(const std::vector<std::size_t> &jobIds,
+              const std::function<std::string(std::size_t)> &fn,
+              const std::function<bool(const std::string &)> &validate,
+              const std::function<std::string(const std::string &)>
+                  &perturb,
+              const IsolateConfig &cfg, const FaultPlan &faults,
+              const std::function<void(std::size_t idx,
+                                       const IsolatedCell &)> &onDone)
 {
     const std::size_t n = jobIds.size();
-    std::vector<RawIsolatedCell> cells(n);
+    std::vector<IsolatedCell> cells(n);
     /** Checksum of any complete payload a prior attempt produced. */
     std::vector<std::string> prevSum(n);
 
@@ -257,7 +257,7 @@ superviseRawJobs(const std::vector<std::size_t> &jobIds,
     // Terminal bookkeeping for one finished attempt; returns true when
     // the cell is done (success or retries exhausted), false to retry.
     const auto settle = [&](const Child &c, int status) {
-        RawIsolatedCell &cell = cells[c.idx];
+        IsolatedCell &cell = cells[c.idx];
         cell.attempts = c.attempt;
 
         const bool decodable = validate(c.buf);
@@ -379,49 +379,6 @@ superviseRawJobs(const std::vector<std::size_t> &jobIds,
             }
         }
     }
-    return cells;
-}
-
-std::vector<IsolatedCell>
-superviseJobs(const std::vector<std::size_t> &jobIds,
-              const std::function<ExperimentResult(std::size_t)> &fn,
-              const IsolateConfig &cfg, const FaultPlan &faults,
-              const std::function<void(std::size_t idx,
-                                       const IsolatedCell &)> &onDone)
-{
-    std::vector<IsolatedCell> cells(jobIds.size());
-    // The raw supervisor invokes its onDone exactly once per cell, so
-    // filling the typed vector there covers every input.
-    superviseRawJobs(
-        jobIds,
-        [&fn](std::size_t job) { return serializeResult(fn(job)); },
-        [](const std::string &payload) {
-            ExperimentResult r;
-            return deserializeResult(payload, r);
-        },
-        [](const std::string &payload) {
-            ExperimentResult r;
-            const bool ok = deserializeResult(payload, r);
-            IH_ASSERT(ok, "NONDET perturbation of an undecodable payload");
-            r.run.instructions += 1;
-            return serializeResult(r);
-        },
-        cfg, faults,
-        [&](std::size_t idx, const RawIsolatedCell &raw) {
-            IsolatedCell &cell = cells[idx];
-            cell.ok = raw.ok;
-            cell.timedOut = raw.timedOut;
-            cell.attempts = raw.attempts;
-            cell.error = raw.error;
-            if (raw.ok) {
-                const bool ok =
-                    deserializeResult(raw.payload, cell.result);
-                IH_ASSERT(ok,
-                          "validated payload failed to decode");
-            }
-            if (onDone)
-                onDone(idx, cell);
-        });
     return cells;
 }
 

@@ -173,12 +173,12 @@ checksumHex(const std::string &payload)
 }
 
 // --------------------------------------------------------------------------
-// PayloadJournal
+// SweepJournal
 // --------------------------------------------------------------------------
 
-PayloadJournal::PayloadJournal(std::string path, std::string sweep_id,
-                               std::size_t jobs, ShardSpec shard,
-                               Validator validate)
+SweepJournal::SweepJournal(std::string path, std::string sweep_id,
+                           std::size_t jobs, ShardSpec shard,
+                           Validator validate)
     : path_(std::move(path)), sweepId_(std::move(sweep_id)), jobs_(jobs),
       shard_(shard), validate_(std::move(validate))
 {
@@ -186,14 +186,14 @@ PayloadJournal::PayloadJournal(std::string path, std::string sweep_id,
               "journal '%s' needs a payload validator", path_.c_str());
 }
 
-PayloadJournal::~PayloadJournal()
+SweepJournal::~SweepJournal()
 {
     if (f_)
         std::fclose(f_);
 }
 
 std::string
-PayloadJournal::headerLine() const
+SweepJournal::headerLine() const
 {
     JsonWriter w;
     w.beginObject();
@@ -205,8 +205,8 @@ PayloadJournal::headerLine() const
     return w.str() + "\n";
 }
 
-std::map<std::size_t, PayloadJournal::Entry>
-PayloadJournal::open()
+std::map<std::size_t, SweepJournal::Entry>
+SweepJournal::open()
 {
     IH_ASSERT(!f_, "journal '%s' opened twice", path_.c_str());
     std::map<std::size_t, Entry> done;
@@ -324,8 +324,8 @@ PayloadJournal::open()
 }
 
 void
-PayloadJournal::append(std::size_t job, const std::string &payload,
-                       unsigned attempts)
+SweepJournal::append(std::size_t job, const std::string &payload,
+                     unsigned attempts)
 {
     IH_ASSERT(f_, "journal '%s' append before open", path_.c_str());
     JsonWriter w;
@@ -342,41 +342,6 @@ PayloadJournal::append(std::size_t job, const std::string &payload,
     if (std::fwrite(line.data(), 1, line.size(), f_) != line.size() ||
         std::fflush(f_) != 0 || ::fsync(::fileno(f_)) != 0)
         fatal("journal '%s': durable append failed", path_.c_str());
-}
-
-// --------------------------------------------------------------------------
-// SweepJournal
-// --------------------------------------------------------------------------
-
-SweepJournal::SweepJournal(std::string path, std::string sweep_id,
-                           std::size_t jobs, ShardSpec shard)
-    : raw_(std::move(path), std::move(sweep_id), jobs, shard,
-           [](std::size_t, const std::string &payload) {
-               ExperimentResult r;
-               return deserializeResult(payload, r);
-           })
-{
-}
-
-std::map<std::size_t, SweepJournal::Entry>
-SweepJournal::open()
-{
-    std::map<std::size_t, Entry> done;
-    for (auto &[job, raw] : raw_.open()) {
-        Entry e;
-        e.attempts = raw.attempts;
-        const bool ok = deserializeResult(raw.payload, e.result);
-        IH_ASSERT(ok, "journal payload validated but failed to decode");
-        done.emplace(job, std::move(e));
-    }
-    return done;
-}
-
-void
-SweepJournal::append(std::size_t job, const ExperimentResult &r,
-                     unsigned attempts)
-{
-    raw_.append(job, serializeResult(r), attempts);
 }
 
 } // namespace ih

@@ -76,18 +76,16 @@ class JournalError : public std::runtime_error
 };
 
 /**
- * The raw-payload journal underneath SweepJournal: the same file
- * format, header validation and corruption contract, but records are
- * opaque payload strings vetted by a caller-supplied validator instead
- * of the experiment wire format. Sweep-like drivers with their own
- * payload schema (e.g. the open-loop serving bench's load ladders)
- * journal through this directly; the journal never needs to learn
- * their field list. open() loads (or bootstraps) the file and returns
- * the completed entries; append() records one more completed job
- * durably. Appends are thread-safe (the inline sweep path calls from
- * worker threads).
+ * One sweep's resume journal. Records are opaque payload strings
+ * vetted by a caller-supplied validator, so any sweep-like driver
+ * journals through it without the journal learning its field list:
+ * the experiment sweeps pass the ihres1 codec, the open-loop serving
+ * bench its load-ladder codec. open() loads (or bootstraps) the file
+ * and returns the completed entries; append() records one more
+ * completed job durably. Appends are thread-safe (the inline sweep
+ * path calls from worker threads).
  */
-class PayloadJournal
+class SweepJournal
 {
   public:
     /** Is @p payload a well-formed record of canonical job @p job? A
@@ -95,12 +93,12 @@ class PayloadJournal
     using Validator =
         std::function<bool(std::size_t job, const std::string &payload)>;
 
-    PayloadJournal(std::string path, std::string sweep_id,
-                   std::size_t jobs, ShardSpec shard, Validator validate);
-    ~PayloadJournal();
+    SweepJournal(std::string path, std::string sweep_id, std::size_t jobs,
+                 ShardSpec shard, Validator validate);
+    ~SweepJournal();
 
-    PayloadJournal(const PayloadJournal &) = delete;
-    PayloadJournal &operator=(const PayloadJournal &) = delete;
+    SweepJournal(const SweepJournal &) = delete;
+    SweepJournal &operator=(const SweepJournal &) = delete;
 
     struct Entry
     {
@@ -130,34 +128,6 @@ class PayloadJournal
     Validator validate_;
     std::FILE *f_ = nullptr;
     std::mutex mtx_;
-};
-
-/**
- * One experiment sweep's journal: PayloadJournal instantiated with the
- * experiment wire format, trading payload strings for typed
- * ExperimentResults at the API boundary.
- */
-class SweepJournal
-{
-  public:
-    SweepJournal(std::string path, std::string sweep_id,
-                 std::size_t jobs, ShardSpec shard);
-
-    struct Entry
-    {
-        ExperimentResult result;
-        unsigned attempts = 1;
-    };
-
-    /** PayloadJournal::open(), each payload decoded. */
-    std::map<std::size_t, Entry> open();
-
-    /** PayloadJournal::append() of serializeResult(@p r). */
-    void append(std::size_t job, const ExperimentResult &r,
-                unsigned attempts);
-
-  private:
-    PayloadJournal raw_;
 };
 
 } // namespace ih

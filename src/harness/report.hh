@@ -98,12 +98,13 @@ double parsePositiveDouble(const char *name, const char *value,
 double envPositiveDouble(const char *name, double fallback);
 
 /**
- * Strictly-validated unsigned parsing for the worker-count environment
- * knobs (IRONHIDE_THREADS, IRONHIDE_DOMAINS): a complete decimal
- * number with no leading '-' (std::strtoul silently wraps negatives)
- * and at most @p max_value. On success sets @p out and returns true;
- * anything else warns (naming @p name) and returns false, except a
- * null/empty @p value, which fails silently (unset knob).
+ * Strictly-validated unsigned parsing for the count-valued environment
+ * knobs (IRONHIDE_THREADS, IRONHIDE_JOB_RETRIES, ...): a complete
+ * decimal number with no leading '-' (std::strtoul silently wraps
+ * negatives) and at most @p max_value. On success sets @p out and
+ * returns true; anything else warns (naming @p name) and returns
+ * false, except a null/empty @p value, which fails silently (unset
+ * knob).
  */
 bool parseEnvUnsigned(const char *name, const char *value,
                       unsigned long max_value, unsigned long &out);

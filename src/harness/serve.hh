@@ -19,9 +19,9 @@
  *
  * Everything here is simulated-time arithmetic over deterministic
  * schedules: a ladder is a pure function of (arch, config, apps,
- * options), byte-identical at any IRONHIDE_THREADS/IRONHIDE_DOMAINS
- * setting. Ladders serialize to a pipe-separated wire payload
- * ("ihserve1|...") so bench/serve_openloop rides the generic
+ * options), byte-identical at any IRONHIDE_THREADS setting. Ladders
+ * serialize to a pipe-separated wire payload ("ihserve1|...") so
+ * bench/serve_openloop rides the generic
  * fault-tolerance layer (shard, --journal, --isolate) unchanged.
  */
 

@@ -7,13 +7,14 @@
 #include <cstdlib>
 #include <cmath>
 #include <cstring>
+#include <exception>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 
-#include "harness/parallel.hh"
 #include "harness/report.hh"
 #include "sim/log.hh"
 
@@ -164,8 +165,72 @@ SweepGrid::jobs() const
 }
 
 // --------------------------------------------------------------------------
-// SweepRunner
+// parallelForIndex + SweepRunner
 // --------------------------------------------------------------------------
+
+void
+parallelForIndex(std::size_t n, unsigned workers,
+                 const std::function<void(std::size_t)> &fn)
+{
+    if (n == 0)
+        return;
+    if (workers > n)
+        workers = static_cast<unsigned>(n);
+    if (workers <= 1) {
+        // Serial reference semantics: run in index order, stop at the
+        // first throw. The parallel path below reproduces exactly this
+        // observable behaviour.
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+
+    std::atomic<std::size_t> next{0};
+    // Claims stop past the smallest failing index seen so far: jobs
+    // after the serial first-failure would never have run serially, so
+    // there is no reason to start them — but every job *below* a
+    // failure must still run, since one of them may produce the
+    // (canonically smaller) error that actually propagates.
+    std::atomic<std::size_t> limit{n};
+    std::mutex mtx; // guards err/err_idx
+    std::exception_ptr err;
+    std::size_t err_idx = std::numeric_limits<std::size_t>::max();
+
+    auto worker = [&]() {
+        for (;;) {
+            const std::size_t i = next.fetch_add(1);
+            if (i >= limit.load(std::memory_order_relaxed) || i >= n)
+                return;
+            try {
+                fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lk(mtx);
+                if (i < err_idx) {
+                    err_idx = i;
+                    err = std::current_exception();
+                }
+                // The check-then-store runs under the same mutex as
+                // err_idx, so limit shrinks monotonically. It only
+                // gates *new* claims — an index already claimed past a
+                // shrinking limit merely does work a serial run would
+                // have skipped — and err_idx above stays the
+                // authoritative minimum regardless.
+                if (i + 1 < limit.load(std::memory_order_relaxed))
+                    limit.store(i + 1, std::memory_order_relaxed);
+            }
+        }
+    };
+
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (unsigned w = 0; w < workers; ++w)
+        pool.emplace_back(worker);
+    for (std::thread &t : pool)
+        t.join();
+
+    if (err)
+        std::rethrow_exception(err);
+}
 
 SweepRunner::SweepRunner(unsigned threads) : threads_(threads)
 {
@@ -228,8 +293,11 @@ SweepSummary::speedup(const std::string &fast, const std::string &slow) const
 }
 
 SweepSummary
-summarize(const std::vector<ExperimentResult> &results)
+summarize(const SweepOutcome &outcome)
 {
+    IH_ASSERT(outcome.results.size() == outcome.cells.size(),
+              "summarize: %zu results vs %zu cells", outcome.results.size(),
+              outcome.cells.size());
     SweepSummary out;
 
     struct Acc
@@ -240,7 +308,10 @@ summarize(const std::vector<ExperimentResult> &results)
     };
     std::vector<Acc> accs; // ordered by first appearance
 
-    for (const ExperimentResult &r : results) {
+    for (std::size_t i = 0; i < outcome.results.size(); ++i) {
+        if (!outcome.cells[i].ok())
+            continue;
+        const ExperimentResult &r = outcome.results[i];
         Acc *acc = nullptr;
         for (Acc &a : accs)
             if (a.agg.arch == r.arch)
@@ -326,74 +397,6 @@ policyName(SplitPolicy p)
 
 } // namespace
 
-std::string
-sweepToJson(const std::string &sweep_id, const std::vector<SweepJob> &jobs,
-            const std::vector<ExperimentResult> &results,
-            const SweepSummary &summary)
-{
-    IH_ASSERT(jobs.size() == results.size(),
-              "sweepToJson: %zu jobs vs %zu results", jobs.size(),
-              results.size());
-
-    JsonWriter w;
-    w.beginObject();
-    w.key("sweep").value(sweep_id);
-    w.key("jobs").value(std::uint64_t{jobs.size()});
-
-    w.key("results").beginArray();
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const SweepJob &job = jobs[i];
-        const ExperimentResult &r = results[i];
-        w.beginObject();
-        w.key("app").value(r.app);
-        w.key("arch").value(r.arch);
-        if (!job.tag.empty())
-            w.key("tag").value(job.tag);
-        if (job.arch == ArchKind::IRONHIDE)
-            w.key("policy").value(policyName(job.ihopts.policy));
-        w.key("completion_ms").value(r.run.completionMs());
-        w.key("purge_ms").value(cyclesToMs(r.run.purgeCycles));
-        w.key("transition_ms").value(cyclesToMs(r.run.transitionCycles));
-        w.key("reconfig_ms").value(cyclesToMs(r.run.reconfigCycles));
-        w.key("transitions").value(r.run.transitions);
-        w.key("l1_miss_rate").value(r.run.l1MissRate);
-        w.key("l2_miss_rate").value(r.run.l2MissRate);
-        w.key("secure_cores").value(std::uint64_t{r.run.secureCores});
-        w.key("decided_split").value(std::uint64_t{r.decidedSplit});
-        w.key("probes").value(std::uint64_t{r.probes});
-        w.key("instructions").value(r.run.instructions);
-        w.key("isolation_violations").value(r.run.isolationViolations);
-        w.endObject();
-    }
-    w.endArray();
-
-    w.key("summary").beginArray();
-    for (const ArchAggregate &a : summary.byArch) {
-        w.beginObject();
-        w.key("arch").value(a.arch);
-        w.key("jobs").value(std::uint64_t{a.jobs});
-        w.key("geomean_completion_ms").value(a.geomeanCompletionMs);
-        w.key("geomean_l1_miss_rate").value(a.geomeanL1MissRate);
-        w.key("geomean_l2_miss_rate").value(a.geomeanL2MissRate);
-        w.key("mean_secure_cores").value(a.meanSecureCores);
-        w.key("total_purge_ms").value(cyclesToMs(a.totalPurgeCycles));
-        w.key("total_transition_ms")
-            .value(cyclesToMs(a.totalTransitionCycles));
-        w.key("total_reconfig_ms")
-            .value(cyclesToMs(a.totalReconfigCycles));
-        w.endObject();
-    }
-    w.endArray();
-
-    w.key("stats").beginObject();
-    for (const auto &[name, counter] : summary.stats.counters())
-        w.key(name).value(counter.value());
-    w.endObject();
-
-    w.endObject();
-    return w.str();
-}
-
 const char *
 jsonReportPath(int argc, char **argv)
 {
@@ -416,21 +419,6 @@ jsonReportPath(int argc, char **argv)
     return path;
 }
 
-bool
-maybeWriteJsonReport(int argc, char **argv, const std::string &sweep_id,
-                     const std::vector<SweepJob> &jobs,
-                     const std::vector<ExperimentResult> &results)
-{
-    const char *path = jsonReportPath(argc, argv);
-    if (!path)
-        return false;
-    writeTextFile(path,
-                  sweepToJson(sweep_id, jobs, results, summarize(results)) +
-                      "\n");
-    std::printf("wrote JSON report: %s\n", path);
-    return true;
-}
-
 // --------------------------------------------------------------------------
 // Fault-tolerant sweeps
 // --------------------------------------------------------------------------
@@ -451,11 +439,8 @@ cellStatusName(CellStatus status, unsigned attempts)
     return "?";
 }
 
-namespace
-{
-
 std::size_t
-cellsOwned(const std::vector<CellOutcome> &cells)
+SweepCells::shardJobs() const
 {
     std::size_t n = 0;
     for (const CellOutcome &c : cells)
@@ -465,17 +450,13 @@ cellsOwned(const std::vector<CellOutcome> &cells)
 }
 
 bool
-cellsComplete(const std::vector<CellOutcome> &cells)
+SweepCells::complete() const
 {
-    for (const CellOutcome &c : cells)
-        if (c.status == CellStatus::FAILED ||
-            c.status == CellStatus::TIMEOUT)
-            return false;
-    return true;
+    return failedCells().empty();
 }
 
 std::vector<std::size_t>
-cellsFailed(const std::vector<CellOutcome> &cells)
+SweepCells::failedCells() const
 {
     std::vector<std::size_t> out;
     for (std::size_t i = 0; i < cells.size(); ++i)
@@ -483,44 +464,6 @@ cellsFailed(const std::vector<CellOutcome> &cells)
             cells[i].status == CellStatus::TIMEOUT)
             out.push_back(i);
     return out;
-}
-
-} // namespace
-
-std::size_t
-SweepOutcome::shardJobs() const
-{
-    return cellsOwned(cells);
-}
-
-bool
-SweepOutcome::complete() const
-{
-    return cellsComplete(cells);
-}
-
-std::vector<std::size_t>
-SweepOutcome::failedCells() const
-{
-    return cellsFailed(cells);
-}
-
-std::size_t
-PayloadOutcome::shardJobs() const
-{
-    return cellsOwned(cells);
-}
-
-bool
-PayloadOutcome::complete() const
-{
-    return cellsComplete(cells);
-}
-
-std::vector<std::size_t>
-PayloadOutcome::failedCells() const
-{
-    return cellsFailed(cells);
 }
 
 ShardSpec
@@ -593,14 +536,14 @@ runFaultTolerantPayloadSweep(
         }
     }
 
-    std::unique_ptr<PayloadJournal> journal;
+    std::unique_ptr<SweepJournal> journal;
     if (!opts.journalPath.empty()) {
-        journal = std::make_unique<PayloadJournal>(
+        journal = std::make_unique<SweepJournal>(
             opts.journalPath, sweep_id, n, opts.shard,
             [&validate](std::size_t, const std::string &payload) {
                 return validate(payload);
             });
-        std::map<std::size_t, PayloadJournal::Entry> done =
+        std::map<std::size_t, SweepJournal::Entry> done =
             journal->open();
         std::vector<std::size_t> still;
         still.reserve(pending.size());
@@ -627,16 +570,16 @@ runFaultTolerantPayloadSweep(
         icfg.workers = SweepRunner(opts.threads).threads();
         icfg.timeoutMs = opts.timeoutMs;
         icfg.retries = opts.retries;
-        std::vector<RawIsolatedCell> cells = superviseRawJobs(
+        std::vector<IsolatedCell> cells = superviseJobs(
             pending, fn, validate, perturb, icfg, faults,
-            [&](std::size_t k, const RawIsolatedCell &cell) {
+            [&](std::size_t k, const IsolatedCell &cell) {
                 if (journal && cell.ok)
                     journal->append(pending[k], cell.payload,
                                     cell.attempts);
             });
         for (std::size_t k = 0; k < pending.size(); ++k) {
             const std::size_t i = pending[k];
-            RawIsolatedCell &c = cells[k];
+            IsolatedCell &c = cells[k];
             out.cells[i].attempts = c.attempts;
             if (c.ok) {
                 out.payloads[i] = std::move(c.payload);
@@ -700,9 +643,7 @@ runFaultTolerantSweep(const std::string &sweep_id,
         opts, faults);
 
     SweepOutcome out;
-    out.shard = p.shard;
-    out.resumed = p.resumed;
-    out.cells = std::move(p.cells);
+    static_cast<SweepCells &>(out) = std::move(p);
     out.results.resize(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         if (!out.cells[i].ok())
@@ -751,21 +692,6 @@ runBenchSweep(int argc, char **argv, const std::string &sweep_id,
                     "and summaries cover the survivors only\n",
                     out.failedCells().size(), out.shardJobs());
     return out;
-}
-
-SweepSummary
-summarize(const std::vector<ExperimentResult> &results,
-          const std::vector<CellOutcome> &cells)
-{
-    IH_ASSERT(results.size() == cells.size(),
-              "summarize: %zu results vs %zu cells", results.size(),
-              cells.size());
-    std::vector<ExperimentResult> ok;
-    ok.reserve(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i)
-        if (cells[i].ok())
-            ok.push_back(results[i]);
-    return summarize(ok);
 }
 
 std::string
@@ -847,7 +773,7 @@ sweepToJson(const std::string &sweep_id, const std::vector<SweepJob> &jobs,
     }
     w.endArray();
 
-    const SweepSummary summary = summarize(o.results, o.cells);
+    const SweepSummary summary = summarize(o);
     w.key("summary").beginArray();
     for (const ArchAggregate &a : summary.byArch) {
         w.beginObject();

@@ -10,7 +10,7 @@
  * fans the jobs out over a thread pool and collects the results in job
  * order regardless of scheduling, and summarize() folds the results
  * into per-architecture geomean/ratio aggregates backed by a StatGroup.
- * sweepToJson() renders jobs+results+summary as a machine-readable
+ * sweepToJson() renders an outcome and its summary as the "sweep/v2"
  * report through the harness/report JSON writer.
  *
  * Determinism contract: results depend only on the job list, never on
@@ -41,11 +41,26 @@
 #include "harness/experiment.hh"
 #include "harness/isolate.hh"
 #include "harness/journal.hh"
-#include "harness/parallel.hh"
 #include "sim/stats.hh"
 
 namespace ih
 {
+
+/**
+ * Invoke @p fn(i) for every i in [0, n), fanning out over up to
+ * @p workers threads (0 and 1 run inline on the caller's thread), and
+ * block until every claimed invocation finished. Indices are claimed
+ * in ascending order from a shared counter, so the worker interleaving
+ * is unobservable to a closure that writes slot i. When invocations
+ * throw, the exception that propagates is the one with the *smallest
+ * index* — what a serial loop would have thrown — whichever worker
+ * failed first in wall-clock time; indices after it may not run. This
+ * holds because the closures are deterministic per index: every index
+ * below a thrown one was claimed and either completed or threw the
+ * smaller error itself.
+ */
+void parallelForIndex(std::size_t n, unsigned workers,
+                      const std::function<void(std::size_t)> &fn);
 
 /** One cell of a sweep: everything runExperiment() needs. */
 struct SweepJob
@@ -204,9 +219,6 @@ struct SweepSummary
     double speedup(const std::string &fast, const std::string &slow) const;
 };
 
-/** Fold @p results into per-architecture aggregates. */
-SweepSummary summarize(const std::vector<ExperimentResult> &results);
-
 // --------------------------------------------------------------------------
 // Fault-tolerant sweeps (sharding, isolation, journaled resume)
 // --------------------------------------------------------------------------
@@ -262,13 +274,12 @@ ShardSpec sweepShard();
 SweepRunOptions sweepRunFromArgs(int argc, char **argv);
 
 /**
- * Everything a fault-tolerant sweep produced. results/cells are
- * parallel to the job list; a cell's result is meaningful only when
- * its outcome is OK.
+ * Per-cell bookkeeping shared by every fault-tolerant sweep outcome:
+ * cells are parallel to the canonical job list, and a cell's result or
+ * payload is meaningful only when its outcome is OK.
  */
-struct SweepOutcome
+struct SweepCells
 {
-    std::vector<ExperimentResult> results;
     std::vector<CellOutcome> cells;
     ShardSpec shard;
     std::size_t resumed = 0; ///< cells satisfied from the journal
@@ -284,27 +295,16 @@ struct SweepOutcome
     int exitCode() const { return complete() ? 0 : kExitDegraded; }
 };
 
-/**
- * The raw-payload sibling of SweepOutcome: one opaque payload string
- * per canonical job, parallel to the cell outcomes. A payload is
- * meaningful only when its cell is OK.
- */
-struct PayloadOutcome
+/** An experiment sweep's outcome: one result per canonical job. */
+struct SweepOutcome : SweepCells
+{
+    std::vector<ExperimentResult> results;
+};
+
+/** A payload sweep's outcome: one opaque payload string per job. */
+struct PayloadOutcome : SweepCells
 {
     std::vector<std::string> payloads;
-    std::vector<CellOutcome> cells;
-    ShardSpec shard;
-    std::size_t resumed = 0; ///< cells satisfied from the journal
-
-    bool sharded() const { return shard.active(); }
-    /** Cells this shard owns (everything not SKIPPED). */
-    std::size_t shardJobs() const;
-    /** Did every owned cell finish OK? */
-    bool complete() const;
-    /** Canonical ids of owned FAILED/TIMEOUT cells, ascending. */
-    std::vector<std::size_t> failedCells() const;
-    /** 0 when complete, kExitDegraded otherwise. */
-    int exitCode() const { return complete() ? 0 : kExitDegraded; }
 };
 
 /**
@@ -315,7 +315,7 @@ struct PayloadOutcome
  * recognizes a complete well-formed payload (journal records and
  * child pipes are vetted with it), and @p perturb builds the NONDET
  * fault's complete-but-wrong attempt-1 payload (it must still pass
- * @p validate — see superviseRawJobs). runFaultTolerantSweep() is
+ * @p validate — see superviseJobs). runFaultTolerantSweep() is
  * this instantiated with the experiment wire format; drivers with
  * their own schema (the serving bench's load ladders) call it
  * directly and keep shard/--journal/--isolate for free.
@@ -351,25 +351,13 @@ SweepOutcome runBenchSweep(int argc, char **argv,
                            const std::string &sweep_id,
                            const std::vector<SweepJob> &jobs);
 
-/** Fold only the OK cells of @p results into aggregates — the
- *  degraded-sweep summary is honest about covering survivors only. */
-SweepSummary summarize(const std::vector<ExperimentResult> &results,
-                       const std::vector<CellOutcome> &cells);
+/** Fold the OK cells of @p outcome into per-architecture aggregates —
+ *  a degraded sweep's summary is honest about covering survivors only. */
+SweepSummary summarize(const SweepOutcome &outcome);
 
 /** Bench worker count from the IRONHIDE_THREADS env var
  *  (0 / unset = hardware concurrency). */
 unsigned sweepThreads();
-
-/**
- * Machine-readable report: sweep id, one record per (job, result)
- * pair, and the per-arch summary, as a single JSON document.
- * @p jobs and @p results must be parallel vectors. (The legacy
- * all-cells-succeeded form; benches now render the outcome overload.)
- */
-std::string sweepToJson(const std::string &sweep_id,
-                        const std::vector<SweepJob> &jobs,
-                        const std::vector<ExperimentResult> &results,
-                        const SweepSummary &summary);
 
 /**
  * The "sweep/v2" report: one record per cell this shard attempted
@@ -418,15 +406,10 @@ int maybeMergeShardReports(int argc, char **argv,
 const char *jsonReportPath(int argc, char **argv);
 
 /**
- * Bench plumbing: when argv carries "--json <path>", write the sweep
- * report there and inform() about it. Returns true when written.
+ * Bench plumbing: when argv carries "--json <path>", write the
+ * "sweep/v2" report of @p outcome there and say so. Returns true when
+ * written.
  */
-bool maybeWriteJsonReport(int argc, char **argv,
-                          const std::string &sweep_id,
-                          const std::vector<SweepJob> &jobs,
-                          const std::vector<ExperimentResult> &results);
-
-/** The fault-tolerant sibling: writes the "sweep/v2" outcome report. */
 bool maybeWriteJsonReport(int argc, char **argv,
                           const std::string &sweep_id,
                           const std::vector<SweepJob> &jobs,

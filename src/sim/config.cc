@@ -67,7 +67,6 @@ SysConfig::set(const std::string &key, const std::string &value)
             fatal("config key 'workScale': unparseable value '%s'",
                   value.c_str());
     }
-    else if (key == "domains") domains = as_u();
     else
         fatal("unknown config key '%s'", key.c_str());
     return *this;
@@ -105,8 +104,6 @@ SysConfig::validate() const
         fatal("mesh must have at least two rows to form two clusters");
     if (workScale <= 0.0)
         fatal("workScale must be positive");
-    if (domains == 0 || domains > 256)
-        fatal("domains must be in [1, 256] (got %u)", domains);
 }
 
 SysConfig

@@ -83,17 +83,6 @@ struct SysConfig
     /** Workload scale factor: 1.0 = default bench inputs. Tests use
      *  smaller values to stay fast. */
     double workScale = 1.0;
-    /**
-     * Intra-run parallelism: host worker count for the independent
-     * sub-simulations inside one experiment (the IRONHIDE
-     * split-decision probes, each a fresh machine). 1 (the default) is
-     * today's fully serial path; any value produces byte-identical
-     * results — the workers only overlap pure probe evaluations whose
-     * values the serial search then consumes in canonical order
-     * (pinned by tests/test_domains.cc). Overridable per process with
-     * the IRONHIDE_DOMAINS env var (see effectiveDomains()).
-     */
-    unsigned domains = 1;
 
     /** Number of tiles in the machine. */
     unsigned numTiles() const { return meshWidth * meshHeight; }

@@ -1,10 +1,10 @@
 /**
  * @file
  * Fault-tolerance tests: fault-plan parsing, the exact result wire
- * format, the append-only resume journal (bootstrap, reload, the
- * corruption contract), resume-runs-only-incomplete-jobs, and the
- * --isolate supervisor (crash containment, timeouts, bounded retries,
- * the retry-checksum determinism gate).
+ * format, the append-only resume journal over that format (bootstrap,
+ * reload, the corruption contract), resume-runs-only-incomplete-jobs,
+ * and the --isolate supervisor (crash containment, timeouts, bounded
+ * retries, the retry-checksum determinism gate).
  */
 
 #include <gtest/gtest.h>
@@ -26,13 +26,14 @@ using namespace ih;
 namespace
 {
 
-// TSan slows the forked isolate children by an order of magnitude, so
-// a wall-clock per-job timeout sized for native builds trips on
-// healthy cells. Scale it; the seeded hang is 60 s and still trips.
-#if defined(__SANITIZE_THREAD__)
+// The sanitizers slow the forked isolate children (TSan by an order of
+// magnitude, ASan by enough to matter), so a wall-clock per-job
+// timeout sized for native builds trips on healthy cells. Scale it;
+// the seeded hang is 60 s and still trips.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 constexpr int kTimeoutScale = 20;
 #elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
 constexpr int kTimeoutScale = 20;
 #else
 constexpr int kTimeoutScale = 1;
@@ -62,6 +63,14 @@ testJobs()
         .app(tiny("<SSSP, GRAPH>"))
         .archs({ArchKind::INSECURE, ArchKind::SGX_LIKE, ArchKind::MI6})
         .jobs();
+}
+
+/** The experiment sweeps' journal validator: an ihres1 payload. */
+bool
+isResult(std::size_t, const std::string &payload)
+{
+    ExperimentResult r;
+    return deserializeResult(payload, r);
 }
 
 /** A journal path inside gtest's per-test temp dir. */
@@ -227,50 +236,54 @@ TEST(WireFormat, ChecksumIsStableAndSensitive)
 TEST(Journal, BootstrapsAppendsAndReloads)
 {
     const std::string path = journalPath("journal_basic.jsonl");
-    const ExperimentResult r = nastyResult();
+    const std::string r = serializeResult(nastyResult());
     {
-        SweepJournal j(path, "unit", 6, ShardSpec{});
+        SweepJournal j(path, "unit", 6, ShardSpec{}, isResult);
         EXPECT_TRUE(j.open().empty());
         j.append(2, r, 1);
         j.append(4, r, 3);
     }
-    SweepJournal j(path, "unit", 6, ShardSpec{});
+    SweepJournal j(path, "unit", 6, ShardSpec{}, isResult);
     const std::map<std::size_t, SweepJournal::Entry> done = j.open();
     ASSERT_EQ(done.size(), 2u);
     ASSERT_TRUE(done.count(2));
     ASSERT_TRUE(done.count(4));
     EXPECT_EQ(done.at(2).attempts, 1u);
     EXPECT_EQ(done.at(4).attempts, 3u);
-    EXPECT_EQ(serializeResult(done.at(2).result), serializeResult(r));
+    EXPECT_EQ(done.at(2).payload, r);
 }
 
 TEST(Journal, RejectsAForeignHeader)
 {
     const std::string path = journalPath("journal_header.jsonl");
     {
-        SweepJournal j(path, "unit", 6, ShardSpec{});
+        SweepJournal j(path, "unit", 6, ShardSpec{}, isResult);
         j.open();
     }
     // Wrong sweep id, wrong job count, wrong shard: each must refuse —
     // resuming the wrong sweep would silently skip its jobs.
-    EXPECT_THROW(SweepJournal(path, "other", 6, ShardSpec{}).open(),
-                 JournalError);
-    EXPECT_THROW(SweepJournal(path, "unit", 7, ShardSpec{}).open(),
-                 JournalError);
-    EXPECT_THROW(SweepJournal(path, "unit", 6, ShardSpec{1, 3}).open(),
-                 JournalError);
+    EXPECT_THROW(
+        SweepJournal(path, "other", 6, ShardSpec{}, isResult).open(),
+        JournalError);
+    EXPECT_THROW(
+        SweepJournal(path, "unit", 7, ShardSpec{}, isResult).open(),
+        JournalError);
+    EXPECT_THROW(
+        SweepJournal(path, "unit", 6, ShardSpec{1, 3}, isResult).open(),
+        JournalError);
     // Not a journal at all.
     writeTextFile(path, "{\"whatever\":1}\n");
-    EXPECT_THROW(SweepJournal(path, "unit", 6, ShardSpec{}).open(),
-                 JournalError);
+    EXPECT_THROW(
+        SweepJournal(path, "unit", 6, ShardSpec{}, isResult).open(),
+        JournalError);
 }
 
 TEST(Journal, DropsATruncatedFinalRecord)
 {
     const std::string path = journalPath("journal_trunc.jsonl");
-    const ExperimentResult r = nastyResult();
+    const std::string r = serializeResult(nastyResult());
     {
-        SweepJournal j(path, "unit", 6, ShardSpec{});
+        SweepJournal j(path, "unit", 6, ShardSpec{}, isResult);
         j.open();
         j.append(0, r, 1);
         j.append(1, r, 1);
@@ -280,7 +293,7 @@ TEST(Journal, DropsATruncatedFinalRecord)
     const std::string text = readTextFile(path);
     writeTextFile(path, text.substr(0, text.size() - 20));
 
-    SweepJournal j(path, "unit", 6, ShardSpec{});
+    SweepJournal j(path, "unit", 6, ShardSpec{}, isResult);
     const auto done = j.open();
     EXPECT_EQ(done.size(), 2u);
     EXPECT_FALSE(done.count(2)); // the damaged record re-runs
@@ -289,9 +302,9 @@ TEST(Journal, DropsATruncatedFinalRecord)
 TEST(Journal, ChecksumDamageIsLenientOnlyOnTheFinalRecord)
 {
     const std::string path = journalPath("journal_sum.jsonl");
-    const ExperimentResult r = nastyResult();
+    const std::string r = serializeResult(nastyResult());
     {
-        SweepJournal j(path, "unit", 6, ShardSpec{});
+        SweepJournal j(path, "unit", 6, ShardSpec{}, isResult);
         j.open();
         j.append(0, r, 1);
         j.append(1, r, 1);
@@ -300,7 +313,7 @@ TEST(Journal, ChecksumDamageIsLenientOnlyOnTheFinalRecord)
     // Garbled *final* record: dropped, job re-runs.
     garbleRecordSum(path, 2);
     {
-        SweepJournal j(path, "unit", 6, ShardSpec{});
+        SweepJournal j(path, "unit", 6, ShardSpec{}, isResult);
         const auto done = j.open();
         EXPECT_EQ(done.size(), 2u);
         EXPECT_FALSE(done.count(2));
@@ -308,51 +321,53 @@ TEST(Journal, ChecksumDamageIsLenientOnlyOnTheFinalRecord)
     // Garbled *middle* record: beyond the crash model — refuse loudly
     // rather than silently resume over unknown damage.
     garbleRecordSum(path, 0);
-    EXPECT_THROW(SweepJournal(path, "unit", 6, ShardSpec{}).open(),
-                 JournalError);
+    EXPECT_THROW(
+        SweepJournal(path, "unit", 6, ShardSpec{}, isResult).open(),
+        JournalError);
 }
 
 TEST(Journal, DuplicateRecordsCollapseUnlessTheyDisagree)
 {
     const std::string path = journalPath("journal_dup.jsonl");
-    const ExperimentResult r = nastyResult();
+    const std::string r = serializeResult(nastyResult());
     {
-        SweepJournal j(path, "unit", 6, ShardSpec{});
+        SweepJournal j(path, "unit", 6, ShardSpec{}, isResult);
         j.open();
         j.append(3, r, 1);
         j.append(3, r, 2); // replayed append, same payload: idempotent
     }
     {
-        SweepJournal j(path, "unit", 6, ShardSpec{});
+        SweepJournal j(path, "unit", 6, ShardSpec{}, isResult);
         const auto done = j.open();
         EXPECT_EQ(done.size(), 1u);
         EXPECT_EQ(done.at(3).attempts, 1u); // first record wins
     }
     // The same job with a *different* (but self-consistent) payload is
     // a determinism violation, not a replay.
-    ExperimentResult other = r;
+    ExperimentResult other = nastyResult();
     other.run.instructions += 1;
     {
-        SweepJournal j(path, "unit", 6, ShardSpec{});
+        SweepJournal j(path, "unit", 6, ShardSpec{}, isResult);
         j.open();
-        j.append(3, other, 1);
+        j.append(3, serializeResult(other), 1);
     }
-    EXPECT_THROW(SweepJournal(path, "unit", 6, ShardSpec{}).open(),
-                 JournalError);
+    EXPECT_THROW(
+        SweepJournal(path, "unit", 6, ShardSpec{}, isResult).open(),
+        JournalError);
 }
 
 TEST(Journal, RejectsRecordsOutsideTheShard)
 {
     const std::string path = journalPath("journal_shard.jsonl");
-    const ExperimentResult r = nastyResult();
+    const std::string r = serializeResult(nastyResult());
     {
         // Shard 1/3 owns jobs 1 and 4 of six.
-        SweepJournal j(path, "unit", 6, ShardSpec{1, 3});
+        SweepJournal j(path, "unit", 6, ShardSpec{1, 3}, isResult);
         j.open();
         j.append(1, r, 1);
         j.append(2, r, 1); // not ours — damaged final record, dropped
     }
-    SweepJournal j(path, "unit", 6, ShardSpec{1, 3});
+    SweepJournal j(path, "unit", 6, ShardSpec{1, 3}, isResult);
     const auto done = j.open();
     EXPECT_EQ(done.size(), 1u);
     EXPECT_TRUE(done.count(1));

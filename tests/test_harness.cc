@@ -18,8 +18,8 @@
 #include <unistd.h>
 
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
 #include "harness/report.hh"
+#include "harness/sweep.hh"
 #include "sim/log.hh"
 
 using namespace ih;
@@ -202,9 +202,9 @@ namespace
 {
 
 AppSpec
-tiny()
+tiny(const char *name = "<AES, QUERY>")
 {
-    AppSpec spec = findApp("<AES, QUERY>", 0.05);
+    AppSpec spec = findApp(name, 0.05);
     spec.interactions = 4;
     spec.insecureThreads = 2;
     spec.secureThreads = 2;
@@ -283,6 +283,54 @@ TEST(Experiment, OptimalNeverWorseThanFixedEndpoints)
     const Cycle at_opt = completion_at(opt.secureCores);
     EXPECT_LE(at_opt, completion_at(2) * 2);
     EXPECT_LE(at_opt, completion_at(cfg.numTiles() - 2) * 2);
+}
+
+TEST(DecideSplit, SerialDecisionsArePinned)
+{
+    // The exact decisions of the serial probe search on the 16-tile test
+    // machine. SSSP's gradient walk improves and then re-crosses a
+    // split, so its probe count also pins that the memo serves a
+    // revisit without changing what the search counts.
+    const SysConfig cfg = SysConfig::smallTest();
+    struct Pin
+    {
+        const char *app;
+        SplitPolicy policy;
+        unsigned secureCores;
+        unsigned probes;
+        double predicted;
+    };
+    const Pin pins[] = {
+        {"<AES, QUERY>", SplitPolicy::HEURISTIC, 8, 3, 46613},
+        {"<AES, QUERY>", SplitPolicy::OPTIMAL, 3, 9, 43676},
+        {"<SSSP, GRAPH>", SplitPolicy::HEURISTIC, 9, 6, 1964578},
+        {"<SSSP, GRAPH>", SplitPolicy::OPTIMAL, 13, 9, 1610756},
+    };
+    for (const Pin &pin : pins) {
+        const ReallocPredictor::Decision d =
+            decideSplit(tiny(pin.app), cfg, pin.policy, 2);
+        EXPECT_EQ(d.secureCores, pin.secureCores) << pin.app;
+        EXPECT_EQ(d.probes, pin.probes) << pin.app;
+        EXPECT_EQ(d.searchCost, 0u) << pin.app;
+        EXPECT_EQ(d.predicted, pin.predicted) << pin.app;
+    }
+}
+
+TEST(DecideSplit, ProbeFailurePropagates)
+{
+    // A probe that throws fails the decision with the probe's own
+    // error, not a wrapped or swallowed one.
+    AppSpec broken = tiny();
+    broken.make = [](const SysConfig &) -> WorkloadPair {
+        throw std::runtime_error("probe boom");
+    };
+    try {
+        decideSplit(broken, SysConfig::smallTest(), SplitPolicy::HEURISTIC,
+                    2);
+        FAIL() << "expected the probe failure";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "probe boom");
+    }
 }
 
 // ---- jsonNumberField ------------------------------------------------------

@@ -9,8 +9,7 @@
  * host-parallelism knobs invisible), the load ladder's saturation stop
  * provably fires on a deliberately overloaded cell instead of walking
  * the whole rung bound, and a whole ladder — wire round trip included
- * — is byte-identical at any IRONHIDE_THREADS / IRONHIDE_DOMAINS
- * setting.
+ * — is byte-identical at any IRONHIDE_THREADS setting.
  */
 
 #include <gtest/gtest.h>
@@ -147,12 +146,10 @@ class ArrivalTest : public ::testing::Test
     void SetUp() override
     {
         unsetenv("IRONHIDE_THREADS");
-        unsetenv("IRONHIDE_DOMAINS");
     }
     void TearDown() override
     {
         unsetenv("IRONHIDE_THREADS");
-        unsetenv("IRONHIDE_DOMAINS");
     }
 };
 
@@ -191,7 +188,6 @@ TEST_F(ArrivalTest, ScheduleIgnoresHostParallelismKnobs)
     const std::vector<Arrival> base = ArrivalProcess(cfg).schedule();
 
     setenv("IRONHIDE_THREADS", "4", 1);
-    setenv("IRONHIDE_DOMAINS", "4", 1);
     EXPECT_TRUE(ArrivalProcess(cfg).schedule() == base);
 }
 
@@ -230,13 +226,11 @@ class ServeTest : public ::testing::Test
     void SetUp() override
     {
         unsetenv("IRONHIDE_THREADS");
-        unsetenv("IRONHIDE_DOMAINS");
         unsetenv("IRONHIDE_MAX_LOAD_STEPS");
     }
     void TearDown() override
     {
         unsetenv("IRONHIDE_THREADS");
-        unsetenv("IRONHIDE_DOMAINS");
         unsetenv("IRONHIDE_MAX_LOAD_STEPS");
     }
 };
@@ -319,7 +313,6 @@ TEST_F(ServeTest, LadderIsByteIdenticalUnderHostParallelismKnobs)
         runLoadLadder(ArchKind::IRONHIDE, cfg, apps, opts));
 
     setenv("IRONHIDE_THREADS", "4", 1);
-    setenv("IRONHIDE_DOMAINS", "4", 1);
     const std::string parallel = serializeLadder(
         runLoadLadder(ArchKind::IRONHIDE, cfg, apps, opts));
     EXPECT_EQ(base, parallel);

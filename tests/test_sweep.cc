@@ -64,6 +64,16 @@ expectSameResult(const ExperimentResult &a, const ExperimentResult &b)
     EXPECT_EQ(a.run.isolationViolations, b.run.isolationViolations);
 }
 
+/** The outcome of a sweep in which every cell finished OK. */
+SweepOutcome
+completeOutcome(std::vector<ExperimentResult> results)
+{
+    SweepOutcome out;
+    out.cells.resize(results.size());
+    out.results = std::move(results);
+    return out;
+}
+
 } // namespace
 
 TEST(SweepGrid, EnumeratesAppMajorArchThenOptions)
@@ -290,8 +300,8 @@ TEST(SweepRunner, MultiFailurePropagatesCanonicalFirstError)
 TEST(SweepSummary, AggregatesPerArchWithStatGroup)
 {
     const std::vector<SweepJob> jobs = testJobs();
-    const std::vector<ExperimentResult> r = SweepRunner(4).run(jobs);
-    const SweepSummary s = summarize(r);
+    const SweepSummary s =
+        summarize(completeOutcome(SweepRunner(4).run(jobs)));
 
     // Three architectures, in first-appearance order.
     ASSERT_EQ(s.byArch.size(), 3u);
@@ -322,11 +332,12 @@ TEST(SweepSummary, EmptyResultsStayFinite)
 {
     // No completed jobs at all: the summary must come back empty and
     // render to JSON without dividing by zero or emitting NaN.
-    const SweepSummary s = summarize({});
+    const SweepOutcome empty;
+    const SweepSummary s = summarize(empty);
     EXPECT_TRUE(s.byArch.empty());
     EXPECT_EQ(s.find("ironhide"), nullptr);
     EXPECT_EQ(s.speedup("IRONHIDE", "MI6"), 0.0);
-    const std::string json = sweepToJson("empty", {}, {}, s);
+    const std::string json = sweepToJson("empty", {}, empty);
     EXPECT_EQ(json.find("nan"), std::string::npos);
     EXPECT_EQ(json.find("inf"), std::string::npos);
 }
@@ -340,7 +351,8 @@ TEST(SweepSummary, ZeroValuedResultsStayFinite)
     ExperimentResult r;
     r.app = "degenerate";
     r.arch = "ironhide";
-    const SweepSummary s = summarize({r, r});
+    const SweepOutcome out = completeOutcome({r, r});
+    const SweepSummary s = summarize(out);
     ASSERT_EQ(s.byArch.size(), 1u);
     EXPECT_TRUE(std::isfinite(s.byArch[0].geomeanCompletionMs));
     EXPECT_GT(s.byArch[0].geomeanCompletionMs, 0.0);
@@ -348,8 +360,7 @@ TEST(SweepSummary, ZeroValuedResultsStayFinite)
     EXPECT_TRUE(std::isfinite(s.byArch[0].meanSecureCores));
 
     const std::string json =
-        sweepToJson("degenerate", std::vector<SweepJob>(2),
-                    {r, r}, s);
+        sweepToJson("degenerate", std::vector<SweepJob>(2), out);
     EXPECT_EQ(json.find("nan"), std::string::npos);
     EXPECT_EQ(json.find("inf"), std::string::npos);
 }
@@ -379,9 +390,8 @@ TEST(JsonWriter, EscapesControlCharacters)
 TEST(SweepJson, ReportContainsJobsResultsAndSummary)
 {
     const std::vector<SweepJob> jobs = testJobs();
-    const std::vector<ExperimentResult> r = SweepRunner(4).run(jobs);
-    const std::string json =
-        sweepToJson("unit_sweep", jobs, r, summarize(r));
+    const std::string json = sweepToJson(
+        "unit_sweep", jobs, completeOutcome(SweepRunner(4).run(jobs)));
 
     EXPECT_NE(json.find("\"sweep\":\"unit_sweep\""), std::string::npos);
     EXPECT_NE(json.find("\"jobs\":6"), std::string::npos);
@@ -450,7 +460,7 @@ TEST(FaultTolerantSweep, InlineFailInjectionDegradesHonestly)
               std::string::npos);
 
     // The summary covers the survivors only.
-    const SweepSummary s = summarize(out.results, out.cells);
+    const SweepSummary s = summarize(out);
     std::size_t summarized = 0;
     for (const ArchAggregate &a : s.byArch)
         summarized += a.jobs;

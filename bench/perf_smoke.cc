@@ -94,6 +94,7 @@ envTolerance()
 const char *
 flagPath(int argc, char **argv, const char *flag)
 {
+    checkBenchArgs(argc, argv);
     const char *path = nullptr;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], flag) == 0) {

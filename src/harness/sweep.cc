@@ -395,11 +395,65 @@ policyName(SplitPolicy p)
     return "?";
 }
 
+/** One flag a bench binary accepts. */
+struct BenchFlag
+{
+    const char *name;
+    bool takesValue;
+};
+
+constexpr BenchFlag kBenchFlags[] = {
+    {"--json", true},  {"--isolate", false},  {"--journal", true},
+    {"--merge", false}, {"--baseline", true},
+};
+
 } // namespace
+
+std::string
+benchArgsError(int argc, char **argv)
+{
+    bool merging = false; // after --merge, plain arguments are reports
+    for (int i = 1; i < argc; ++i) {
+        const char *arg = argv[i];
+        if (std::strncmp(arg, "--", 2) != 0) {
+            if (merging)
+                continue;
+            return strprintf("unexpected argument '%s'", arg);
+        }
+        const BenchFlag *flag = nullptr;
+        for (const BenchFlag &f : kBenchFlags)
+            if (std::strcmp(arg, f.name) == 0)
+                flag = &f;
+        if (!flag)
+            return strprintf("unknown flag '%s'", arg);
+        if (std::strcmp(arg, "--merge") == 0)
+            merging = true;
+        if (flag->takesValue)
+            ++i;
+    }
+    return "";
+}
+
+void
+checkBenchArgs(int argc, char **argv)
+{
+    const std::string err = benchArgsError(argc, argv);
+    if (err.empty())
+        return;
+    std::fprintf(stderr,
+                 "usage error: %s\n"
+                 "usage: %s [--json <path>] [--isolate] [--journal <path>]"
+                 " [--merge <report>...] [--baseline <path>]\n"
+                 "(--isolate/--journal/--merge: sweep benches only; "
+                 "--baseline: perf_smoke only)\n",
+                 err.c_str(), argc > 0 ? argv[0] : "bench");
+    std::exit(kExitUsage);
+}
 
 const char *
 jsonReportPath(int argc, char **argv)
 {
+    checkBenchArgs(argc, argv);
     const char *path = nullptr;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--json") == 0) {
@@ -489,6 +543,7 @@ sweepShard()
 SweepRunOptions
 sweepRunFromArgs(int argc, char **argv)
 {
+    checkBenchArgs(argc, argv);
     SweepRunOptions o;
     o.threads = sweepThreads();
     o.shard = sweepShard();

@@ -398,6 +398,30 @@ int maybeMergeShardReports(int argc, char **argv,
                            const std::string &sweep_id,
                            const std::vector<SweepJob> &jobs);
 
+/** Exit code of a bench invoked with an unknown flag or a stray
+ *  argument (a usage error, distinct from a fatal run error). */
+constexpr int kExitUsage = 2;
+
+/**
+ * The first problem with a bench command line, or "" when every
+ * argument is accounted for. Bench binaries accept "--json <path>",
+ * "--isolate", "--journal <path>", "--merge <report>..." (every later
+ * argument is a shard report, bar a "--json <path>" pair) and
+ * perf_smoke's "--baseline <path>"; any other "--" flag is unknown,
+ * and a plain argument outside --merge's list is stray. A value flag
+ * at the very end is left to its own parser ("requires a file
+ * argument").
+ */
+std::string benchArgsError(int argc, char **argv);
+
+/**
+ * Exit with kExitUsage and the accepted flags when benchArgsError()
+ * finds a problem. jsonReportPath(), sweepRunFromArgs() and
+ * perf_smoke's flag parser call it first, so a retired or misspelt
+ * flag fails instead of being ignored.
+ */
+void checkBenchArgs(int argc, char **argv);
+
 /**
  * Path from a "--json <path>" argv pair, nullptr when absent. A bare
  * trailing "--json" is a fatal user error — benches call this before

@@ -54,6 +54,7 @@ MemorySystem::MemorySystem(const SysConfig &cfg, const Topology &topo,
     // 16-byte flits: a 64-byte line is 4 data flits + 1 header.
     dataFlits_ = cfg.lineBytes / 16 + 1;
     pageShift_ = log2Pow2(cfg.pageBytes);
+    numRegions_ = cfg.numRegions;
 }
 
 void

@@ -190,7 +190,8 @@ class MemorySystem
 
     // --- Security / reconfiguration operations --------------------------
 
-    /** Install the value-type per-access region check. */
+    /** Install the per-access region check (RegionCheck() clears it;
+     *  tests inject custom policies with RegionCheck::fromFunction). */
     void setAccessChecker(RegionCheck check)
     {
         checker_ = std::move(check);
@@ -204,15 +205,6 @@ class MemorySystem
      * driven standalone (stats-parity, unit rigs) with no log attached.
      */
     void setAuditLog(AuditLog *audit) { audit_ = audit; }
-
-    /**
-     * Install (or clear, with nullptr) a custom per-access checker.
-     * Test escape hatch: the closure stays behind a std::function call.
-     */
-    void setAccessChecker(AccessChecker checker)
-    {
-        checker_ = RegionCheck::fromFunction(std::move(checker));
-    }
 
     /**
      * Flush-and-invalidate the private L1 and TLB of every core in
@@ -394,8 +386,7 @@ class MemorySystem
             localHomeByPpage_.empty()) {
             return;
         }
-        NotedHome &slot =
-            noted_[(info.ppage >> pageShift_) & (NOTED_SLOTS - 1)];
+        NotedHome &slot = noted_[notedSlot(info.ppage)];
         if (info.ppage == slot.ppage && mode == slot.mode &&
             info.homeSlice == slot.home) {
             return;
@@ -441,9 +432,25 @@ class MemorySystem
         HomingMode mode = HomingMode::HASH_FOR_HOMING;
         CoreId home = 0;
     };
-    static constexpr unsigned NOTED_SLOTS = 32;
+    static constexpr unsigned NOTED_SLOTS = 64;
+
+    /**
+     * noted_ slot of @p ppage: its allocation ordinal across regions
+     * (in-region ordinal * regions + region). Pages round-robin over
+     * the regions at one in-region ordinal, so indexing by the
+     * in-region ordinal alone sent consecutive pages to one slot.
+     */
+    unsigned
+    notedSlot(Addr ppage) const
+    {
+        return static_cast<unsigned>(
+                   ((ppage % REGION_BYTES) >> pageShift_) * numRegions_ +
+                   ppage / REGION_BYTES) &
+               (NOTED_SLOTS - 1);
+    }
     std::array<NotedHome, NOTED_SLOTS> noted_;
     unsigned pageShift_ = 0; ///< log2(cfg.pageBytes)
+    unsigned numRegions_ = 0; ///< cfg.numRegions
     std::vector<CoreId> allSlices_;
     RegionCheck checker_;
     AuditLog *audit_ = nullptr;

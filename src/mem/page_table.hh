@@ -131,7 +131,7 @@ class AddressSpace
 
   private:
     /** Translation-cache slots (power of two). */
-    static constexpr unsigned TC_SLOTS = 8;
+    static constexpr unsigned TC_SLOTS = 64;
 
     /** One direct-mapped translation-cache slot. The sentinel vp is not
      *  page-aligned, so it can never match a real lookup. */

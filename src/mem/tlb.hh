@@ -132,7 +132,7 @@ class Tlb
     /** Way-predictor slots (power of two). Workloads interleave a
      *  handful of arrays, so a single MRU entry thrashes; indexing the
      *  prediction by page-number bits keeps each stream's entry live. */
-    static constexpr unsigned PRED_SLOTS = 16;
+    static constexpr unsigned PRED_SLOTS = 64;
 
     VAddr vpageOf(VAddr vaddr) const { return vaddr & ~pageMask_; }
 

@@ -17,9 +17,10 @@ Network::Network(const SysConfig &cfg, const Topology &topo)
       statLinkStallCycles_(stats_.counter("link_stall_cycles")),
       statTotalLatency_(stats_.counter("total_latency"))
 {
-    coords_.reserve(tiles_);
-    for (CoreId t = 0; t < tiles_; ++t)
-        coords_.push_back(topo.coordOf(t));
+    // Link sequences store directed-link indices as 16-bit values.
+    IH_ASSERT(static_cast<std::size_t>(tiles_) * 4 <= 0x10000,
+              "%u tiles exceed the route plans' 16-bit link indices",
+              tiles_);
 }
 
 Cycle
@@ -40,22 +41,45 @@ Network::findPlan(const ClusterRange &cluster)
         }
     }
     plans_.push_back(std::make_unique<RoutePlan>(RoutePlan{
-        cluster, std::vector<std::uint8_t>(
-                     static_cast<std::size_t>(tiles_) * tiles_,
-                     PLAN_UNSET)}));
+        cluster,
+        std::vector<std::uint32_t>(static_cast<std::size_t>(tiles_) * tiles_,
+                                   PLAN_UNSET),
+        {}}));
     lastPlan_ = plans_.back().get();
     return *lastPlan_;
 }
 
-std::uint8_t
+std::uint32_t
 Network::fillRoute(RoutePlan &plan, CoreId src, CoreId dst)
 {
     const RouteOrder order = router_.selectOrder(src, plan.cluster);
-    std::uint8_t route = order == RouteOrder::YX ? PLAN_YX : 0;
+    std::uint32_t bits = order == RouteOrder::YX ? PLAN_YX : 0;
     if (!router_.orderedRouteContained(src, dst, order, plan.cluster))
-        route |= PLAN_LEAVES;
+        bits |= PLAN_LEAVES;
+    const std::size_t offset = plan.links.size();
+    // The top offset is reserved: its entry would read as PLAN_UNSET.
+    IH_ASSERT(offset + 1 < (std::size_t(1) << 30), "route plan overflow");
+    plan.links.push_back(0); // hop count, set below
+    router_.forEachLink(src, dst, order,
+                        [&](CoreId from, CoreId, Router::Direction dir) {
+                            plan.links.push_back(static_cast<std::uint16_t>(
+                                static_cast<std::size_t>(from) * 4 + dir));
+                        });
+    plan.links[offset] =
+        static_cast<std::uint16_t>(plan.links.size() - offset - 1);
+    const std::uint32_t route =
+        static_cast<std::uint32_t>(offset) << 2 | bits;
     plan.entries[static_cast<std::size_t>(src) * tiles_ + dst] = route;
     return route;
+}
+
+std::vector<unsigned>
+Network::routeLinks(CoreId src, CoreId dst, const ClusterRange &cluster)
+{
+    RoutePlan &plan = planFor(cluster);
+    const std::uint32_t route = routeOf(plan, src, dst);
+    const std::uint16_t *const seq = plan.links.data() + (route >> 2);
+    return std::vector<unsigned>(seq + 1, seq + 1 + seq[0]);
 }
 
 void

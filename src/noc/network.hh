@@ -90,13 +90,23 @@ class Network
      * The cached plan byte of the @p src -> @p dst route under
      * @p cluster: PLAN_YX when Router::selectOrder() picks Y-X,
      * PLAN_LEAVES when Router::orderedRouteContained() is false.
-     * Fills the byte if this is the pair's first use under @p cluster.
+     * Fills the pair's route if this is its first use under @p cluster.
      */
     std::uint8_t
     routePlan(CoreId src, CoreId dst, const ClusterRange &cluster)
     {
-        return routeOf(planFor(cluster), src, dst);
+        return static_cast<std::uint8_t>(
+            routeOf(planFor(cluster), src, dst) & PLAN_BITS);
     }
+
+    /**
+     * The directed-link indices (tile * 4 + Router::Direction) the
+     * @p src -> @p dst leg under @p cluster reserves, in traversal
+     * order, as stored in the cluster's route plan (filled on first
+     * use). Empty when src == dst.
+     */
+    std::vector<unsigned> routeLinks(CoreId src, CoreId dst,
+                                     const ClusterRange &cluster);
 
     /** Reset all link reservations (used between experiment phases). */
     void resetLinkState();
@@ -112,19 +122,26 @@ class Network
     }
 
   private:
-    /** Plan byte of a pair not routed under the plan's cluster yet. */
-    static constexpr std::uint8_t PLAN_UNSET = 0xFF;
+    /** The PLAN_* bits of a route entry. */
+    static constexpr std::uint32_t PLAN_BITS = PLAN_YX | PLAN_LEAVES;
+    /** Route entry of a pair not routed under the plan's cluster yet. */
+    static constexpr std::uint32_t PLAN_UNSET = ~std::uint32_t(0);
 
     /**
-     * Routing decisions of one cluster range, one PLAN_* byte per
-     * (src, dst) pair at [src * tiles + dst], each filled on the pair's
-     * first leg (a cluster's traffic uses few of the pairs). About
-     * 4 KiB on the default 64-tile mesh.
+     * Routing decisions of one cluster range. entries holds one route
+     * entry per (src, dst) pair at [src * tiles + dst]: the PLAN_* bits
+     * in the low two bits and, above them, the offset of the pair's
+     * link sequence in links. A sequence is its hop count followed by
+     * that many directed-link indices. Both are filled on the pair's
+     * first leg, so links only holds the pairs a cluster's traffic
+     * actually uses (about 16 KiB of entries per plan on the default
+     * 64-tile mesh, plus a few bytes per used pair).
      */
     struct RoutePlan
     {
         ClusterRange cluster;
-        std::vector<std::uint8_t> entries;
+        std::vector<std::uint32_t> entries;
+        std::vector<std::uint16_t> links;
     };
 
     /**
@@ -144,17 +161,18 @@ class Network
     /** planFor() miss: find the cluster's plan, or start an empty one. */
     RoutePlan &findPlan(const ClusterRange &cluster);
 
-    /** The plan byte of @p src -> @p dst, filled on first use. */
-    std::uint8_t
+    /** The route entry of @p src -> @p dst, filled on first use. */
+    std::uint32_t
     routeOf(RoutePlan &plan, CoreId src, CoreId dst)
     {
-        const std::uint8_t route =
+        const std::uint32_t route =
             plan.entries[static_cast<std::size_t>(src) * tiles_ + dst];
         return route != PLAN_UNSET ? route : fillRoute(plan, src, dst);
     }
 
-    /** Ask the router for one pair's plan byte and store it. */
-    std::uint8_t fillRoute(RoutePlan &plan, CoreId src, CoreId dst);
+    /** Ask the router for one pair's route, record its link sequence
+     *  and store its entry. */
+    std::uint32_t fillRoute(RoutePlan &plan, CoreId src, CoreId dst);
 
     /**
      * One directed leg of a traversal from @p src to @p dst (the
@@ -162,29 +180,27 @@ class Network
      *
      * Wormhole-ish model: head flit pays hop latency + link wait per
      * hop; body flits stream behind (serialization charged once at the
-     * end). The reservation loop carries the base index of the current
-     * tile's link quad over the raw link_free_ array — one +-4 (X hop)
-     * or +-4*width (Y hop) stride per hop instead of re-deriving
-     * linkIndex(from, dir) from scratch — so the per-hop work is a
-     * compare, two adds and a store.
+     * end). The leg walks the pair's precomputed link sequence, so the
+     * per-hop work is one load of the link index, a compare, two adds
+     * and a store — no per-direction loops and no coordinate walk.
      */
     Cycle
     walkLeg(CoreId src, CoreId dst, Cycle when, unsigned flits,
             RoutePlan &plan)
     {
-        const std::uint8_t route = routeOf(plan, src, dst);
+        const std::uint32_t route = routeOf(plan, src, dst);
         if (route & PLAN_LEAVES)
             statIsolationViolations_.inc();
 
+        // After routeOf(): a first use may have grown plan.links.
+        const std::uint16_t *const seq = plan.links.data() + (route >> 2);
+        const unsigned hops = seq[0];
         Cycle *const lf = link_free_.data();
         const Cycle hop = cfg_.hopLatency;
-        const std::size_t ystride =
-            static_cast<std::size_t>(topo_.width()) * 4;
-        std::size_t li = static_cast<std::size_t>(src) * 4;
         Cycle t = when;
         Cycle stall = 0;
-        const auto reserve = [&](std::size_t link) {
-            Cycle &slot = lf[link];
+        for (unsigned i = 1; i <= hops; ++i) {
+            Cycle &slot = lf[seq[i]];
             if (slot > t) {
                 stall += slot - t;
                 t = slot;
@@ -192,28 +208,6 @@ class Network
             // The link stays busy while all flits stream across it.
             slot = t + flits;
             t += hop;
-        };
-        const Coord &e = coords_[dst];
-        int x = coords_[src].x;
-        int y = coords_[src].y;
-        const auto walk_x = [&]() {
-            for (; x < e.x; ++x, li += 4)
-                reserve(li + Router::EAST);
-            for (; x > e.x; --x, li -= 4)
-                reserve(li + Router::WEST);
-        };
-        const auto walk_y = [&]() {
-            for (; y < e.y; ++y, li += ystride)
-                reserve(li + Router::SOUTH);
-            for (; y > e.y; --y, li -= ystride)
-                reserve(li + Router::NORTH);
-        };
-        if (route & PLAN_YX) {
-            walk_y();
-            walk_x();
-        } else {
-            walk_x();
-            walk_y();
         }
         t += flits > 1 ? (flits - 1) : 0; // tail serialization
         statLinkStallCycles_.inc(stall);
@@ -225,8 +219,6 @@ class Network
     const Topology &topo_;
     Router router_;
     unsigned tiles_;
-    /** Coordinate of every tile (no division on the walk). */
-    std::vector<Coord> coords_;
     /** next-free-time per directed link (4 per tile). */
     std::vector<Cycle> link_free_;
     /** One plan per cluster range seen so far, created on first use. */

@@ -157,6 +157,24 @@ ConvNetWorkload::setup(Process &proc, IpcBuffer &ipc)
     for (std::size_t i = 0; i < weights_.size(); ++i)
         weights_.host(i) =
             static_cast<float>(wrng.nextDouble() - 0.5) * 0.25f;
+
+    // Host-only tap-major copy of every conv layer's weights: simulated
+    // layout [c][ic][dy][dx], copy layout [dy][dx][ic][c].
+    tapWeights_.assign(layers_.size(), {});
+    for (std::size_t i = 0; i < layers_.size(); ++i) {
+        const LayerSpec &l = layers_[i];
+        if (l.kind != LayerSpec::CONV)
+            continue;
+        const std::size_t kk = static_cast<std::size_t>(l.kernel) * l.kernel;
+        const float *const w = weights_.hostData() + wOff_[i];
+        std::vector<float> &tap = tapWeights_[i];
+        tap.resize(l.weightCount());
+        for (unsigned c = 0; c < l.outC; ++c)
+            for (unsigned ic = 0; ic < l.inC; ++ic)
+                for (std::size_t t = 0; t < kk; ++t)
+                    tap[(t * l.inC + ic) * l.outC + c] =
+                        w[(static_cast<std::size_t>(c) * l.inC + ic) * kk + t];
+    }
 }
 
 void
@@ -235,6 +253,113 @@ ConvNetWorkload::step(ExecContext &ctx)
     return true;
 }
 
+namespace
+{
+
+/** Geometry of one output row of a stride-1, same-padded convolution. */
+struct ConvRow
+{
+    unsigned k = 0, half = 0;    ///< kernel size and its half-width
+    unsigned inW = 0, inC = 0;   ///< input row width and channels
+    unsigned outW = 0, outC = 0; ///< output width, this layer's channels
+    unsigned outStride = 0;      ///< floats per output pixel
+    unsigned dyLo = 0, dyHi = 0; ///< valid kernel rows: [dyLo, dyHi)
+    const float *in = nullptr;   ///< input row (row - half + dyLo), x = 0
+    float *out = nullptr;        ///< this layer's first channel at x = 0
+};
+
+/** Valid kernel columns at output column @p x: dx in [lo, hi). */
+inline void
+validColumns(const ConvRow &r, unsigned x, unsigned &lo, unsigned &hi)
+{
+    lo = x < r.half ? r.half - x : 0;
+    hi = std::min<unsigned>(r.k, r.inW + r.half - x);
+}
+
+/**
+ * The reference kernel: one channel at a time, each output summed in
+ * dy -> dx -> ic order over the simulated [c][ic][dy][dx] weights
+ * @p w, written as soon as it is done.
+ */
+void
+convRowReference(const ConvRow &r, const float *w)
+{
+    const unsigned kk = r.k * r.k;
+    for (unsigned x = 0; x < r.outW; ++x) {
+        unsigned dx_lo, dx_hi;
+        validColumns(r, x, dx_lo, dx_hi);
+        const float *const in_base =
+            r.in + static_cast<std::size_t>(x - r.half + dx_lo) * r.inC;
+        for (unsigned c = 0; c < r.outC; ++c) {
+            const float *const w_c =
+                w + static_cast<std::size_t>(c) * r.inC * kk;
+            float acc = 0.0f;
+            const float *in_row_p = in_base;
+            for (unsigned dy = r.dyLo; dy < r.dyHi; ++dy) {
+                const float *in_px = in_row_p;
+                const float *w_px = w_c + dy * r.k + dx_lo;
+                for (unsigned dx = dx_lo; dx < dx_hi; ++dx) {
+                    const float *wv = w_px;
+                    for (unsigned ic = 0; ic < r.inC; ++ic) {
+                        acc += in_px[ic] * *wv;
+                        wv += kk;
+                    }
+                    in_px += r.inC;
+                    ++w_px;
+                }
+                in_row_p += static_cast<std::size_t>(r.inW) * r.inC;
+            }
+            // ReLU.
+            r.out[static_cast<std::size_t>(x) * r.outStride + c] =
+                std::max(0.0f, acc);
+        }
+    }
+}
+
+/**
+ * Channels [c0, c0 + N) of the row, all at once: per input value, N
+ * accumulators advance together over the tap-major [dy][dx][ic][c]
+ * weights @p w, c innermost, which the compiler vectorizes. Each
+ * accumulator still sums its products in the reference
+ * dy -> dx -> ic order, so every output is bit-identical to
+ * convRowReference() whenever input and output do not overlap.
+ */
+template <unsigned N>
+void
+convRowChannels(const ConvRow &r, const float *w, unsigned c0)
+{
+    const std::size_t tap = static_cast<std::size_t>(r.inC) * r.outC;
+    for (unsigned x = 0; x < r.outW; ++x) {
+        unsigned dx_lo, dx_hi;
+        validColumns(r, x, dx_lo, dx_hi);
+        float acc[N] = {};
+        const float *in_row_p =
+            r.in + static_cast<std::size_t>(x - r.half + dx_lo) * r.inC;
+        for (unsigned dy = r.dyLo; dy < r.dyHi; ++dy) {
+            const float *in_px = in_row_p;
+            const float *w_px = w + (dy * r.k + dx_lo) * tap + c0;
+            for (unsigned dx = dx_lo; dx < dx_hi; ++dx) {
+                const float *wv = w_px;
+                for (unsigned ic = 0; ic < r.inC; ++ic) {
+                    const float v = in_px[ic];
+                    for (unsigned c = 0; c < N; ++c)
+                        acc[c] += v * wv[c];
+                    wv += r.outC;
+                }
+                in_px += r.inC;
+                w_px += tap;
+            }
+            in_row_p += static_cast<std::size_t>(r.inW) * r.inC;
+        }
+        float *const o =
+            r.out + static_cast<std::size_t>(x) * r.outStride + c0;
+        for (unsigned c = 0; c < N; ++c)
+            o[c] = std::max(0.0f, acc[c]); // ReLU
+    }
+}
+
+} // namespace
+
 void
 ConvNetWorkload::processConvItem(ExecContext &ctx, const LayerSpec &l,
                                  unsigned row)
@@ -256,58 +381,47 @@ ConvNetWorkload::processConvItem(ExecContext &ctx, const LayerSpec &l,
     // Weights of all filters.
     weights_.scan(ctx, wOff_[curLayer_], l.weightCount(), MemOp::LOAD);
 
-    // Host-side math: direct convolution of this row. The loop nest is
-    // the reference dy -> dx -> ic accumulation order (bit-identical
-    // floating-point results); all index arithmetic that is invariant in
-    // the inner loops is hoisted, and the row/weight bases are carried as
-    // raw pointers instead of re-derived per element.
-    const unsigned out_w = l.outW();
-    const unsigned out_c = l.outC;
-    const unsigned in_c = l.inC;
-    const unsigned in_w = l.inW;
-    const unsigned kk = k * k;
-    const float *const in_p = in.hostData();
-    const float *const w_p = weights_.hostData() + wOff_[curLayer_];
-    // Valid input rows of this output row: dy in [dy_lo, dy_hi).
-    const unsigned dy_lo = row < half ? half - row : 0;
-    const unsigned dy_hi = std::min<unsigned>(k, l.inH + half - row);
-    float *const out_row_p =
-        out.hostData() +
-        (static_cast<std::size_t>(row) * out_w) * (out_c + l.outChanBase) +
-        l.outChanBase;
-    for (unsigned x = 0; x < out_w; ++x) {
-        // Valid kernel columns at x: dx in [dx_lo, dx_hi).
-        const unsigned dx_lo = x < half ? half - x : 0;
-        const unsigned dx_hi = std::min<unsigned>(k, in_w + half - x);
-        // Input element at (row - half + dy_lo, x - half + dx_lo).
-        const float *const in_base =
-            in_p + (static_cast<std::size_t>(row - half + dy_lo) * in_w +
-                    (x - half + dx_lo)) *
-                       in_c;
-        for (unsigned c = 0; c < out_c; ++c) {
-            const float *const w_c =
-                w_p + static_cast<std::size_t>(c) * in_c * kk;
-            float acc = 0.0f;
-            const float *in_row_p = in_base;
-            for (unsigned dy = dy_lo; dy < dy_hi; ++dy) {
-                const float *in_px = in_row_p;
-                const float *w_px = w_c + dy * k + dx_lo;
-                for (unsigned dx = dx_lo; dx < dx_hi; ++dx) {
-                    const float *wv = w_px;
-                    for (unsigned ic = 0; ic < in_c; ++ic) {
-                        acc += in_px[ic] * *wv;
-                        wv += kk;
-                    }
-                    in_px += in_c;
-                    ++w_px;
-                }
-                in_row_p += static_cast<std::size_t>(in_w) * in_c;
-            }
-            // ReLU.
-            out_row_p[static_cast<std::size_t>(x) * (out_c +
-                                                     l.outChanBase) +
-                      c] = std::max(0.0f, acc);
+    ConvRow r;
+    r.k = k;
+    r.half = half;
+    r.inW = l.inW;
+    r.inC = l.inC;
+    r.outW = l.outW();
+    r.outC = l.outC;
+    r.outStride = l.outC + l.outChanBase;
+    // Valid input rows of this output row.
+    r.dyLo = row < half ? half - row : 0;
+    r.dyHi = std::min<unsigned>(k, l.inH + half - row);
+    r.in = in.hostData() +
+           static_cast<std::size_t>(row - half + r.dyLo) * l.inW * l.inC;
+    r.out = out.hostData() +
+            static_cast<std::size_t>(row) * r.outW * r.outStride +
+            l.outChanBase;
+    if (&in == &out) {
+        // SqueezeNet's first expand conv reads and writes one buffer
+        // (docs/ARCHITECTURE.md): its outputs read back values it has
+        // already overwritten, so its bits depend on the per-pixel
+        // channel write order and only the reference loop keeps them.
+        convRowReference(r, weights_.hostData() + wOff_[curLayer_]);
+    } else {
+        const float *const w = tapWeights_[curLayer_].data();
+        unsigned c = 0;
+        for (; c + 16 <= r.outC; c += 16)
+            convRowChannels<16>(r, w, c);
+        if (c + 8 <= r.outC) {
+            convRowChannels<8>(r, w, c);
+            c += 8;
         }
+        if (c + 4 <= r.outC) {
+            convRowChannels<4>(r, w, c);
+            c += 4;
+        }
+        if (c + 2 <= r.outC) {
+            convRowChannels<2>(r, w, c);
+            c += 2;
+        }
+        if (c < r.outC)
+            convRowChannels<1>(r, w, c);
     }
     const std::size_t out_cnt =
         static_cast<std::size_t>(l.outW()) * l.outC;

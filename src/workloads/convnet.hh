@@ -81,6 +81,10 @@ class ConvNetWorkload : public InteractiveWorkload
     SimArray<float> act_[2];        ///< ping-pong activation buffers
     SimArray<float> weights_;       ///< all layers, concatenated
     std::vector<std::size_t> wOff_; ///< per-layer weight offset
+    /** Host-only tap-major ([dy][dx][ic][c]) copy of each conv layer's
+     *  weights for the channel-vectorized kernel, empty for other
+     *  layers; the simulated scans read weights_. */
+    std::vector<std::vector<float>> tapWeights_;
     std::vector<unsigned> bufOfLayerInput_;
 
     // Per-interaction execution state.

@@ -182,9 +182,10 @@ TEST(MemorySystem, AccessCheckerBlocksForbiddenRegions)
     Rig r;
     AddressSpace insecure(r.cfg, r.alloc, 2, Domain::INSECURE);
     insecure.setAllowedRegions({0}); // maps into region 0...
-    r.mem.setAccessChecker([](Domain d, RegionId region) {
-        return !(d == Domain::INSECURE && region == 0); // ...but 0 is secure
-    });
+    r.mem.setAccessChecker(
+        RegionCheck::fromFunction([](Domain d, RegionId region) {
+            return !(d == Domain::INSECURE && region == 0); // 0 is secure
+        }));
     const AccessResult res =
         r.mem.access(0, insecure, 0x1000, MemOp::LOAD, 0, r.whole);
     EXPECT_TRUE(res.blocked);
@@ -196,8 +197,8 @@ TEST(MemorySystem, AccessCheckerBlocksForbiddenRegions)
 TEST(MemorySystem, SecureAllowedThroughChecker)
 {
     Rig r;
-    r.mem.setAccessChecker(
-        [](Domain d, RegionId) { return d == Domain::SECURE; });
+    r.mem.setAccessChecker(RegionCheck::fromFunction(
+        [](Domain d, RegionId) { return d == Domain::SECURE; }));
     const AccessResult res = r.acc(0, 0x1000, MemOp::LOAD);
     EXPECT_FALSE(res.blocked);
 }
@@ -369,9 +370,10 @@ TEST(MemorySystem, BlockedAccessDoesNotPrimeTlbOrPredictor)
     Rig r;
     AddressSpace insecure(r.cfg, r.alloc, 2, Domain::INSECURE);
     insecure.setAllowedRegions({0});
-    r.mem.setAccessChecker([](Domain d, RegionId region) {
-        return !(d == Domain::INSECURE && region == 0);
-    });
+    r.mem.setAccessChecker(
+        RegionCheck::fromFunction([](Domain d, RegionId region) {
+            return !(d == Domain::INSECURE && region == 0);
+        }));
 
     const AccessResult blocked =
         r.mem.access(0, insecure, 0x1000, MemOp::LOAD, 0, r.whole);
@@ -399,9 +401,10 @@ TEST(MemorySystem, BlockedAccessDoesNotPrimeTlbOrPredictor)
     // A blocked access that *hits* a legitimately installed entry keeps
     // it (the entry was earned by an allowed access) and charges only
     // the protection-fault penalty.
-    r.mem.setAccessChecker([](Domain d, RegionId region) {
-        return !(d == Domain::INSECURE && region == 0);
-    });
+    r.mem.setAccessChecker(
+        RegionCheck::fromFunction([](Domain d, RegionId region) {
+            return !(d == Domain::INSECURE && region == 0);
+        }));
     const AccessResult again =
         r.mem.access(0, insecure, 0x1000, MemOp::LOAD, 2000, r.whole);
     EXPECT_TRUE(again.blocked);
@@ -477,9 +480,10 @@ TEST(MemorySystem, SplitAccessMatchesReferenceOnMixedTrace)
         r->insecure.setAllowedRegions({0, 1});
         // Region 0 is secure-owned: the insecure pages that round-robin
         // into it block, the rest are allowed.
-        r->mem.setAccessChecker([](Domain d, RegionId region) {
-            return !(d == Domain::INSECURE && region == 0);
-        });
+        r->mem.setAccessChecker(
+            RegionCheck::fromFunction([](Domain d, RegionId region) {
+                return !(d == Domain::INSECURE && region == 0);
+            }));
     }
 
     Cycle ta = 0;
@@ -526,6 +530,84 @@ TEST(MemorySystem, SplitAccessMatchesReferenceOnMixedTrace)
     ASSERT_EQ(ta, tb);
     for (unsigned i = 0; i < 200; ++i)
         drive(0, i % 4, 0x10000 + (i * 64) % 8192, MemOp::LOAD);
+
+    const auto ca = countersOf(a);
+    const auto cb = countersOf(b);
+    ASSERT_EQ(ca.size(), cb.size());
+    for (std::size_t i = 0; i < ca.size(); ++i) {
+        EXPECT_EQ(ca[i].first, cb[i].first) << "at index " << i;
+        EXPECT_EQ(ca[i].second, cb[i].second)
+            << "counter " << ca[i].first << " diverged";
+    }
+}
+
+// The translation memos (the address space's translation cache, the
+// noted-home skip and the TLB way predictor) are validated shortcuts.
+// A trace that cycles through more pages than any memo has slots, over
+// every region, in a local-homed and a hash-homed space, with a
+// mid-trace re-homing, must give identical results and counters on the
+// split and the reference path, and the physical home map must follow
+// every page's current home.
+TEST(MemorySystem, TranslationMemosMatchReferenceAcrossManyPages)
+{
+    EquivRig a; // split fast/miss path
+    EquivRig b; // reference implementation
+    for (EquivRig *r : {&a, &b}) {
+        r->localSpace.setHomingMode(HomingMode::LOCAL_HOMING);
+        r->localSpace.setAllowedSlices({0, 1, 2, 3, 4, 5});
+    }
+    ASSERT_EQ(a.localSpace.allowedRegions().size(), a.cfg.numRegions);
+
+    constexpr unsigned kPages = 160; // beyond every memo's slot count
+    const VAddr page = a.cfg.pageBytes;
+    Cycle ta = 0;
+    Cycle tb = 0;
+    unsigned step = 0;
+    const auto drive = [&](unsigned which, CoreId core, VAddr va,
+                           MemOp op) {
+        const AccessResult ra =
+            a.mem.access(core, a.spaceOf(which), va, op, ta, a.whole);
+        const AccessResult rb = b.mem.accessReference(
+            core, b.spaceOf(which), va, op, tb, b.whole);
+        ASSERT_EQ(ra.finish, rb.finish) << "step " << step;
+        ASSERT_EQ(ra.tlbHit, rb.tlbHit) << "step " << step;
+        ASSERT_EQ(ra.l1Hit, rb.l1Hit) << "step " << step;
+        ASSERT_EQ(ra.l2Hit, rb.l2Hit) << "step " << step;
+        ASSERT_EQ(ra.blocked, rb.blocked) << "step " << step;
+        if (which == 1) {
+            const PageInfo *info = a.localSpace.translate(va);
+            ASSERT_NE(info, nullptr);
+            EXPECT_EQ(a.mem.homeOfPhys(info->ppage), info->homeSlice)
+                << "step " << step;
+        }
+        ta = ra.finish;
+        tb = rb.finish;
+        ++step;
+    };
+    const auto sweep = [&](unsigned rounds) {
+        for (unsigned round = 0; round < rounds; ++round) {
+            for (unsigned p = 0; p < kPages; ++p) {
+                // Strided page order: consecutive accesses land on pages
+                // of different regions and different slots.
+                const unsigned q = (p * 37 + round * 11) % kPages;
+                const VAddr line = ((p + round) % 8) * a.cfg.lineBytes;
+                drive(1, p % 8, 0x100000 + q * page + line,
+                      (p + round) % 3 == 0 ? MemOp::STORE : MemOp::LOAD);
+                drive(0, (p + 3) % 8, 0x400000 + q * page + line,
+                      MemOp::LOAD);
+                if (p % 4 == 0)
+                    drive(1, p % 8, 0x100000 + p * page, MemOp::LOAD);
+            }
+        }
+    };
+
+    sweep(3);
+    EXPECT_EQ(a.localSpace.mappedPages(), kPages);
+    const std::uint64_t moved_a = a.mem.rehomePages(a.localSpace, {6, 7});
+    const std::uint64_t moved_b = b.mem.rehomePages(b.localSpace, {6, 7});
+    ASSERT_EQ(moved_a, moved_b);
+    ASSERT_GT(moved_a, 0u);
+    sweep(2);
 
     const auto ca = countersOf(a);
     const auto cb = countersOf(b);

@@ -505,11 +505,11 @@ TEST(Network, TraverseMatchesForEachLinkReservationModel)
     }
 }
 
-// The network caches one routing plan per cluster range: a byte per
-// (src, dst) pair holding the dimension order and whether the route
-// leaves the cluster. Every byte must equal what the router computes,
-// for the whole machine and for prefix and suffix clusters that do and
-// do not end on a row boundary.
+// The network caches one routing plan per cluster range: per (src, dst)
+// pair the dimension order, whether the route leaves the cluster, and
+// the directed links the leg reserves. Every entry must equal what the
+// router computes, for the whole machine and for prefix and suffix
+// clusters that do and do not end on a row boundary.
 TEST(Network, RoutePlanMatchesRouter)
 {
     for (const auto &[w, h] : {std::pair<unsigned, unsigned>{8, 8},
@@ -541,6 +541,24 @@ TEST(Network, RoutePlanMatchesRouter)
                                                           cl))
                             want |= Network::PLAN_LEAVES;
                         ASSERT_EQ(net.routePlan(src, dst, cl), want)
+                            << w << "x" << h << " [" << cl.first << ","
+                            << cl.count << ") " << src << "->" << dst;
+                        // The stored link sequence is the edge list of
+                        // the materialized reference path.
+                        const std::vector<CoreId> p =
+                            router.path(src, dst, order);
+                        std::vector<unsigned> edges;
+                        for (std::size_t i = 1; i < p.size(); ++i) {
+                            const CoreId from = p[i - 1];
+                            const CoreId to = p[i];
+                            const Router::Direction dir =
+                                to == from + 1   ? Router::EAST
+                                : to + 1 == from ? Router::WEST
+                                : to == from + w ? Router::SOUTH
+                                                 : Router::NORTH;
+                            edges.push_back(from * 4 + dir);
+                        }
+                        ASSERT_EQ(net.routeLinks(src, dst, cl), edges)
                             << w << "x" << h << " [" << cl.first << ","
                             << cl.count << ") " << src << "->" << dst;
                         yx += (want & Network::PLAN_YX) ? 1 : 0;

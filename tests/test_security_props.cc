@@ -368,8 +368,8 @@ TEST(BlockedAccessHygiene, BlockedProbeLeavesNoObservableState)
     // Deny everything and probe: once through the inline path (warm VA,
     // predicted TLB hit) and once through the slow path (fresh VA, page
     // walk, no prior TLB entry).
-    mem.setAccessChecker(
-        AccessChecker([](Domain, RegionId) { return false; }));
+    mem.setAccessChecker(RegionCheck::fromFunction(
+        [](Domain, RegionId) { return false; }));
     const AccessResult b1 =
         mem.access(core, space, kWarmVa, MemOp::LOAD, 2000, cl);
     EXPECT_TRUE(b1.blocked);
@@ -393,7 +393,7 @@ TEST(BlockedAccessHygiene, BlockedProbeLeavesNoObservableState)
     // The warm address is exactly as warm as before the blocked probes:
     // identical hit flags and identical latency (an evicted line, a
     // dropped TLB entry or a retrained way predictor would all show).
-    mem.setAccessChecker(AccessChecker());
+    mem.setAccessChecker(RegionCheck());
     const AccessResult warm_after =
         mem.access(core, space, kWarmVa, MemOp::LOAD, 4000, cl);
     EXPECT_TRUE(warm_after.l1Hit);

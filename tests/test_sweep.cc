@@ -549,3 +549,71 @@ TEST(FaultTolerantSweep, MergeRejectsIncompleteOrDuplicateShardSets)
     EXPECT_THROW(mergeShardReports("other_sweep", jobs, reports),
                  std::runtime_error);
 }
+
+// --------------------------------------------------------------------------
+// Bench command lines
+// --------------------------------------------------------------------------
+
+namespace
+{
+
+/** benchArgsError() over a literal command line (argv[0] included). */
+std::string
+argsError(std::vector<std::string> args)
+{
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return benchArgsError(static_cast<int>(argv.size()), argv.data());
+}
+
+} // namespace
+
+TEST(BenchArgs, AcceptsEveryBenchFlag)
+{
+    EXPECT_EQ(argsError({"bench"}), "");
+    EXPECT_EQ(argsError({"bench", "--json", "r.json"}), "");
+    EXPECT_EQ(argsError({"bench", "--isolate", "--journal", "j.jsonl",
+                         "--json", "r.json"}),
+              "");
+    EXPECT_EQ(argsError({"perf_smoke", "--baseline", "b.json"}), "");
+    // --merge takes every later argument as a shard report, bar the
+    // --json output pair.
+    EXPECT_EQ(argsError({"bench", "--json", "all.json", "--merge", "s0.json",
+                         "s1.json"}),
+              "");
+    EXPECT_EQ(argsError({"bench", "--merge", "s0.json", "--json", "all.json",
+                         "s1.json"}),
+              "");
+    // A value flag consumes the next argument whatever it is; a bare
+    // trailing one is left to its own parser.
+    EXPECT_EQ(argsError({"bench", "--json", "--odd-name"}), "");
+    EXPECT_EQ(argsError({"bench", "--json"}), "");
+}
+
+TEST(BenchArgs, RejectsUnknownFlagsAndStrayArguments)
+{
+    EXPECT_EQ(argsError({"bench", "--bogus-flag"}),
+              "unknown flag '--bogus-flag'");
+    // A retired gate flag must not silently drop its gate.
+    EXPECT_EQ(argsError({"perf_smoke", "--no-slower-than", "x"}),
+              "unknown flag '--no-slower-than'");
+    EXPECT_EQ(argsError({"bench", "--json", "r.json", "--jsn", "r2.json"}),
+              "unknown flag '--jsn'");
+    EXPECT_EQ(argsError({"bench", "--merge", "s0.json", "--isolat"}),
+              "unknown flag '--isolat'");
+    EXPECT_EQ(argsError({"bench", "--json=r.json"}),
+              "unknown flag '--json=r.json'");
+    EXPECT_EQ(argsError({"bench", "r.json"}), "unexpected argument 'r.json'");
+}
+
+TEST(BenchArgs, UnknownFlagIsAUsageError)
+{
+    std::string prog = "abl_reconfig";
+    std::string bogus = "--bogus-flag";
+    char *argv[] = {prog.data(), bogus.data()};
+    EXPECT_EXIT(jsonReportPath(2, argv), testing::ExitedWithCode(kExitUsage),
+                "unknown flag '--bogus-flag'");
+    EXPECT_EXIT(sweepRunFromArgs(2, argv),
+                testing::ExitedWithCode(kExitUsage), "usage: abl_reconfig");
+}

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 
 #include "core/insecure.hh"
@@ -186,6 +188,59 @@ TEST(ConvNet, InferenceProducesFiniteOutputs)
     auto &net = dynamic_cast<ConvNetWorkload &>(rig.app.secureWorkload());
     for (std::size_t i = 0; i < 10; ++i)
         EXPECT_TRUE(std::isfinite(net.outputOf(i)));
+}
+
+// The exact float bits of both nets' final outputs after a fixed short
+// run, at three scales (channel counts 2-4 at 0.05/0.3 and 8-16 at 1.0).
+// The host-side kernels may be restructured only in ways that keep every
+// output bit, including SqueezeNet's in-place expand layer (see
+// docs/ARCHITECTURE.md, "The miss path").
+TEST(ConvNet, OutputsArePinned)
+{
+    struct Pin
+    {
+        double scale;
+        const char *app;
+        std::uint32_t bits[10];
+    };
+    const Pin pins[] = {
+        {0.05, "<ALEXNET, VISION>",
+         {0x3dad535d, 0x3d0975a4, 0x00000000, 0x3d885bdc, 0x00000000,
+          0x3d97d243, 0x3c13a1bc, 0x00000000, 0x3d57cf5b, 0x3ce8ca37}},
+        {0.05, "<SQZ-NET, VISION>",
+         {0x00000000, 0x3ed4b9c3, 0x3f5b7a0a, 0x00000000, 0x00000000,
+          0x3efd6b0a, 0x00000000, 0x00000000, 0x3e265ef6, 0x3f4c1425}},
+        {0.3, "<ALEXNET, VISION>",
+         {0x3c24c582, 0x3cc91bda, 0x3cd7cc28, 0x3cf2d352, 0x00000000,
+          0x3dfb57ae, 0x00000000, 0x00000000, 0x3d013fcc, 0x00000000}},
+        {0.3, "<SQZ-NET, VISION>",
+         {0x00000000, 0x3ec44964, 0x3fce96b9, 0x00000000, 0x3f572d60,
+          0x3f38c93c, 0x00000000, 0x00000000, 0x00000000, 0x3f98293d}},
+        {1.0, "<ALEXNET, VISION>",
+         {0x3d344487, 0x00000000, 0x3d385029, 0x3c86659a, 0x00000000,
+          0x3e422d79, 0x3cfeaebb, 0x00000000, 0x3c9a718a, 0x3d2b69f4}},
+        {1.0, "<SQZ-NET, VISION>",
+         {0x00000000, 0x3f8b0cb8, 0x40283311, 0x00000000, 0x3f4b0987,
+          0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x3f72d5b1}},
+    };
+    for (const Pin &pin : pins) {
+        AppSpec spec = findApp(pin.app, pin.scale);
+        spec.interactions = 2;
+        spec.insecureThreads = 4;
+        spec.secureThreads = 4;
+        AppRig rig(spec);
+        rig.app.run(RunOptions{.warmup = 0});
+        auto &net =
+            dynamic_cast<ConvNetWorkload &>(rig.app.secureWorkload());
+        for (std::size_t i = 0; i < 10; ++i) {
+            const float v = net.outputOf(i);
+            std::uint32_t bits = 0;
+            std::memcpy(&bits, &v, sizeof bits);
+            EXPECT_EQ(bits, pin.bits[i])
+                << pin.app << " scale " << pin.scale << " output " << i
+                << " = " << v;
+        }
+    }
 }
 
 TEST(WorkRange, PartitionCoversAndIsDisjoint)
